@@ -1,19 +1,39 @@
-"""Exact-diagonalization verification path.
+"""Exact-diagonalization verification path, solved block by block.
 
-Dense symmetric eigensolve of the truncated Hamiltonian at each cavity
-frequency, dressed-state matching, and sudden-switch overlaps.  The initial
-state and both couplings are permutation symmetric, so everything reachable
-from the ground state lives in the permutation-symmetric sector; dressed
-states are matched there, which keeps the assignment deterministic inside
-otherwise-degenerate excitation classes.  Sudden overlaps are divided by
-sqrt(multiplicity) of the target class so they are quoted per target
-configuration, matching the closed-form convention.
+The initial state and both couplings are permutation symmetric, so
+everything reachable from the ground state lives in the permutation-symmetric
+sector.  The oracle builds H directly in that sector's Dicke basis |n; m>
+(n photons, m of the three qubits excited, row 4*n + m) and never forms the
+8*(nmax+1)-dimensional product space:
+
+    diagonal          n*omega + m*E0
+    V      (n, m) <-> (n+1, m+1)   lam*sqrt(n+1)*sqrt((m+1)(3-m))
+    V_RWA  (n, m) <-> (n-1, m+1)   lam*sqrt(n)*sqrt((m+1)(3-m))
+
+with transitions past the photon cutoff dropped, as in the product space.
+H0 + V conserves n - m, so it splits into blocks of at most 4 states.
+H0 + V + V_RWA conserves only the parity of n + m, the Z2 symmetry that
+makes the Rabi model tractable (Braak, PRL 107, 100401, 2011), so it splits
+into two halves of 2*(nmax+1) states.  Only the block holding the requested
+label is diagonalized, and every eigendecomposition must pass the Gram and
+reconstruction residual checks.  Dressed states are matched inside their
+block, which keeps the assignment deterministic inside otherwise-degenerate
+excitation classes.  Sudden overlaps are divided by sqrt(multiplicity) of
+the target class so they are quoted per target configuration, matching the
+closed-form convention.
+
+The product-space Hamiltonian (hilbert.hamiltonian_total), its full
+eigendecomposition (diagonalize_total) and the projection onto the
+symmetric sector (symmetrizer) are kept as the independent cross-check the
+tests compare the block solve against.
 
 Defaults diagonalize H0 + V only (the counter-rotating coupling that drives
 the switch transitions); include_rwa=True adds the rotating part.  Both are
 reported by the validation layer: the rotating sidebands are required for
-the (2,0) and (0,2) channels to be reachable at all, while channel (1,1)
-agrees with the closed form under either Hamiltonian.
+the (2,0) and (0,2) channels to be reachable at all (under H0 + V their
+targets sit in other n - m blocks than the ground state, so those overlaps
+are exactly zero), while channel (1,1) agrees with the closed form under
+either Hamiltonian.
 
 Caveat established by this oracle (see compare_with_closed_forms): the
 closed-form table isolates the Lamb-modulation part of each amplitude, which
@@ -39,6 +59,9 @@ from .params import SystemParams
 
 #: Size of each excitation class, binom(3, m).
 CLASS_MULTIPLICITY = (1, 3, 3, 1)
+
+#: Qubit bit patterns (q1 most significant) of the product states in class m.
+CLASS_BITS = ((0,), (1, 2, 4), (3, 5, 6), (7,))
 
 #: Minimum photon headroom between a dressed label and the cutoff.
 HEADROOM = 4
@@ -74,9 +97,30 @@ def symmetrizer(nmax: int) -> np.ndarray:
     return cols
 
 
+def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a real symmetric matrix, with its accuracy contract enforced.
+
+    Raises SolverDiagnosticsError if the solver fails, or if the eigenvector
+    Gram residual exceeds 1e-10 or the reconstruction residual |H v - v w|
+    exceeds 1e-9*|H| (NaN residuals fail too).
+    """
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise SolverDiagnosticsError(f"eigensolver failed: {exc}") from exc
+    gram = np.abs(v.T @ v - np.eye(v.shape[1])).max()
+    if not gram <= 1e-10:
+        raise SolverDiagnosticsError(f"eigenvector Gram residual {gram:.3e} > 1e-10")
+    norm_h = float(np.abs(w).max()) or 1.0
+    recon = np.linalg.norm(h @ v - v * w, axis=0).max()
+    if not recon <= 1e-9 * norm_h:
+        raise SolverDiagnosticsError(f"reconstruction residual {recon:.3e} > 1e-9*|H|")
+    return w, v
+
+
 def diagonalize_total(p: SystemParams, omega: float,
                       include_rwa: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of H(omega), with accuracy checks.
+    """Full product-space eigendecomposition of H(omega), with accuracy checks.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Raises
     SolverDiagnosticsError if the solver fails or the orthonormality /
@@ -84,68 +128,97 @@ def diagonalize_total(p: SystemParams, omega: float,
     """
     if dimension(p.nmax) > 10_000:
         raise SolverDiagnosticsError(f"dimension {dimension(p.nmax)} exceeds the 1e4 limit")
-    h = hamiltonian_total(p, omega, include_rwa=include_rwa)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise SolverDiagnosticsError(f"eigensolver failed: {exc}") from exc
-    gram = np.abs(v.T @ v - np.eye(v.shape[1])).max()
-    if gram > 1e-10:
-        raise SolverDiagnosticsError(f"eigenvector Gram residual {gram:.3e} > 1e-10")
-    norm_h = float(np.abs(w).max()) if np.abs(w).max() > 0 else 1.0
-    recon = np.linalg.norm(h @ v - v * w, axis=0).max()
-    if recon > 1e-9 * norm_h:
-        raise SolverDiagnosticsError(f"reconstruction residual {recon:.3e} > 1e-9*|H|")
-    return w, v
+    return _eigh_checked(hamiltonian_total(p, omega, include_rwa=include_rwa))
+
+
+def _block_of(n, m, include_rwa: bool):
+    """Conserved quantity of Dicke state (n, m): n + m parity with V_RWA, else n - m."""
+    return (n + m) % 2 if include_rwa else n - m
+
+
+def _block_hamiltonian(omega: float, e0: float, lam: float, nmax: int,
+                       include_rwa: bool, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """One conserved-quantity block of H in the Dicke basis.
+
+    Returns (rows, h): the Dicke indices 4*n + m of the block's states in
+    ascending order, and the block matrix over them.
+    """
+    n, m = np.divmod(np.arange(4 * (nmax + 1)), 4)
+    rows = np.flatnonzero(_block_of(n, m, include_rwa) == block)
+    n, m = n[rows], m[rows]
+    h = np.diag(n * omega + m * e0)
+    spin = np.sqrt((m + 1) * (3 - m))  # collective sigma^+ on the Dicke state m
+    # V: (n, m) -> (n+1, m+1), Dicke index + 5; V_RWA: (n, m) -> (n-1, m+1), index - 3
+    hops = [(n < nmax, 5, n + 1)]
+    if include_rwa:
+        hops.append((n >= 1, -3, n))
+    for allowed, step, photons in hops:
+        src = np.flatnonzero(allowed & (m < 3))
+        dst = np.searchsorted(rows, rows[src] + step)
+        h[src, dst] = h[dst, src] = lam * np.sqrt(photons[src]) * spin[src]
+    return rows, h
 
 
 @lru_cache(maxsize=64)
-def _symmetric_eig(p: SystemParams, omega: float, include_rwa: bool):
-    """Eigendecomposition of H projected onto the symmetric sector."""
-    s = symmetrizer(p.nmax)
-    h_sym = s.T @ hamiltonian_total(p, omega, include_rwa=include_rwa) @ s
-    try:
-        w, v = np.linalg.eigh(h_sym)
-    except np.linalg.LinAlgError as exc:
-        raise SolverDiagnosticsError(f"eigensolver failed: {exc}") from exc
-    w.setflags(write=False)
-    v.setflags(write=False)
-    s.setflags(write=False)
-    return w, v, s
+def _symmetric_eig(omega: float, e0: float, lam: float, nmax: int,
+                   include_rwa: bool, block: int):
+    """Checked eigendecomposition of one block of H: (w, v, Dicke rows)."""
+    rows, h = _block_hamiltonian(omega, e0, lam, nmax, include_rwa, block)
+    w, v = _eigh_checked(h)
+    for a in (w, v, rows):
+        a.setflags(write=False)
+    return w, v, rows
+
+
+def _product_vector(vec: np.ndarray, rows: np.ndarray, nmax: int) -> np.ndarray:
+    """Scatter Dicke-basis coefficients onto the product states of each class."""
+    out = np.zeros(dimension(nmax))
+    n, m = np.divmod(rows, 4)
+    for mm, bits in enumerate(CLASS_BITS):
+        sel = m == mm
+        coef = vec[sel] / math.sqrt(CLASS_MULTIPLICITY[mm])
+        for b in bits:
+            out[8 * n[sel] + b] = coef
+    return out
 
 
 def dressed_state(label: BasisState, p: SystemParams, omega: float,
                   include_rwa: bool = False) -> DressedState:
     """Symmetric-sector eigenvector dominated by the label's excitation class.
 
-    The match maximizes |overlap| with the symmetrized representative of the
-    label's class; it must be dominant (> 1/sqrt(2)) and separated from the
-    runner-up by at least 1e-6, otherwise a DegeneracyAmbiguityError is
-    raised.  The phase is fixed so the label-class component is positive.
+    Only the conserved-quantity block holding the label is diagonalized.  The
+    match maximizes |overlap| with the symmetrized representative of the
+    label's class within that block; it must be dominant (> 1/sqrt(2)) and
+    separated from the runner-up (0 in a one-state block) by at least 1e-6,
+    otherwise a DegeneracyAmbiguityError is raised.  The phase is fixed so the
+    label-class component is positive.
     """
     if label.photons > p.nmax - HEADROOM:
         raise TruncationHeadroomError(
             f"label |{label.label}> needs photon headroom: n <= nmax - {HEADROOM} "
             f"= {p.nmax - HEADROOM}")
-    w, v, s = _symmetric_eig(p, omega, include_rwa)
-    target = 4 * label.photons + label.excitation_count
+    n, m = label.photons, label.excitation_count
+    w, v, rows = _symmetric_eig(omega, p.e0, p.lambda_, p.nmax, include_rwa,
+                                _block_of(n, m, include_rwa))
+    target = int(np.searchsorted(rows, 4 * n + m))
     overlaps = np.abs(v[target, :])
     order = np.argsort(overlaps)[::-1]
-    best, runner_up = order[0], order[1]
-    if overlaps[best] - overlaps[runner_up] < 1e-6:
+    best = order[0]
+    runner_up = overlaps[order[1]] if order.size > 1 else 0.0
+    if overlaps[best] - runner_up < 1e-6:
         raise DegeneracyAmbiguityError(
             f"two eigenvectors match |{label.label}> equally well "
-            f"({overlaps[best]:.6f} vs {overlaps[runner_up]:.6f}); near-crossing")
+            f"({overlaps[best]:.6f} vs {runner_up:.6f}); near-crossing")
     if overlaps[best] <= MIN_LABEL_OVERLAP:
         raise DegeneracyAmbiguityError(
             f"best overlap {overlaps[best]:.4f} with |{label.label}> is not dominant "
             f"(needs > {MIN_LABEL_OVERLAP:.4f}); state has lost its label character")
-    vec_sym = v[:, best] * np.sign(v[target, best])
+    vec = v[:, best] * np.sign(v[target, best])
     return DressedState(
         label=label,
         omega=omega,
         eigenvalue=float(w[best]),
-        vector=s @ vec_sym,
+        vector=_product_vector(vec, rows, p.nmax),
         overlap_with_label=float(overlaps[best]),
     )
 

@@ -57,7 +57,11 @@ class SystemParams:
 
     @classmethod
     def from_flat_dict(cls, d: dict) -> "SystemParams":
-        """Build from the flat JSON document {"omega1_ghz": ..., "nmax": ...}."""
+        """Build from the flat JSON document {"omega1_ghz": ..., "nmax": ...}.
+
+        Values are passed through unconverted, so a non-integer nmax (20.7,
+        "20", true) is rejected by the constructor rather than truncated.
+        """
         unknown = set(d) - set(JSON_KEYS)
         if unknown:
             raise ParameterDomainError(f"unknown parameter keys: {sorted(unknown)}")
@@ -69,7 +73,7 @@ class SystemParams:
             omega2=d["omega2_ghz"],
             e0=d["e0_ghz"],
             lambda_=d["lambda_ghz"],
-            nmax=int(d.get("nmax", 20)),
+            nmax=d.get("nmax", 20),
         )
 
     def to_flat_dict(self) -> dict:

@@ -71,6 +71,16 @@ class TestReport:
         assert code == 0
         assert json.loads(out)["inputs"] == payload
 
+    @pytest.mark.parametrize("nmax", [20.7, "20", True])
+    def test_config_non_integer_nmax_exits_2(self, capsys, tmp_path, nmax):
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps({"omega1_ghz": 5.0, "omega2_ghz": 3.75,
+                                      "e0_ghz": 3.721, "lambda_ghz": 0.2, "nmax": nmax}))
+        code, out, err = run(capsys, ["report", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert "nmax must be an integer" in err
+
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "params.json"
         config.write_text(json.dumps({"omega1_ghz": 5.0, "omega2_ghz": 4.0,

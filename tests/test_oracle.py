@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dle3q import (BasisState, DegeneracyAmbiguityError, SystemParams,
-                   TruncationHeadroomError, amplitude_closed_form,
+from dle3q import (BasisState, DegeneracyAmbiguityError, SolverDiagnosticsError,
+                   SystemParams, TruncationHeadroomError, amplitude_closed_form,
                    compare_with_closed_forms, convergence_study,
                    diagonalize_total, dressed_state, energy_unperturbed,
-                   sudden_overlap)
+                   hamiltonian_total, sudden_overlap)
+from dle3q import oracle
+from dle3q.amplitudes import CLASS_REPRESENTATIVE, DLE_CHANNELS
+from dle3q.cli import main
 from dle3q.hilbert import build_basis, index_of
-from dle3q.oracle import shrink_factors, symmetrizer
+from dle3q.oracle import (CLASS_MULTIPLICITY, _block_hamiltonian, _symmetric_eig,
+                          shrink_factors, symmetrizer)
 
 W1, E0 = 5.0, 3.721
 
@@ -67,6 +72,111 @@ class TestSymmetrizer:
         assert np.allclose(col[nz], 1 / math.sqrt(3))
 
 
+def _projected(p, omega, rwa):
+    """Product-space H projected onto the symmetric sector: the reference build."""
+    s = symmetrizer(p.nmax)
+    return s, s.T @ hamiltonian_total(p, omega, include_rwa=rwa) @ s
+
+
+def _reference_dressed(label, p, omega, rwa):
+    """Eigenvalue and full-basis vector matched in the whole projected sector."""
+    s, h_sym = _projected(p, omega, rwa)
+    w, v = np.linalg.eigh(h_sym)
+    target = 4 * label.photons + label.excitation_count
+    best = int(np.argmax(np.abs(v[target])))
+    return w[best], s @ (v[:, best] * np.sign(v[target, best]))
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_direct_build_equals_projection(self, rwa):
+        # every block of the direct Dicke build equals the projected
+        # product-space H on its rows, and no element couples two blocks
+        p = SystemParams(W1, 3.75, E0, 0.2, nmax=9)
+        _, h_sym = _projected(p, 3.75, rwa)
+        n, m = np.divmod(np.arange(h_sym.shape[0]), 4)
+        blocks = (n + m) % 2 if rwa else n - m
+        assert np.all(h_sym[blocks[:, None] != blocks[None, :]] == 0.0)
+        for block in np.unique(blocks):
+            rows, h = _block_hamiltonian(3.75, E0, 0.2, 9, rwa, int(block))
+            assert np.array_equal(rows, np.flatnonzero(blocks == block))
+            assert np.abs(h - h_sym[np.ix_(rows, rows)]).max() <= 1e-13
+
+    @pytest.mark.parametrize("rwa,size", [(False, 4), (True, 2 * (160 + 1))])
+    def test_ground_block_size(self, rwa, size):
+        _, h = _block_hamiltonian(W1, E0, 0.02, 160, rwa, 0)
+        assert h.shape == (size, size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(omega1=st.floats(4.8, 5.2), omega2=st.floats(4.3, 4.7),
+           e0=st.floats(3.6, 3.8), lam=st.floats(1e-3, 1e-2),
+           nmax=st.integers(6, 12), rwa=st.booleans())
+    def test_matches_projected_product_space(self, omega1, omega2, e0, lam, nmax, rwa):
+        p = SystemParams(omega1, omega2, e0, lam, nmax=nmax)
+        ground = BasisState(0, (0, 0, 0))
+        g_val, g_vec = _reference_dressed(ground, p, omega1, rwa)
+        ds = dressed_state(ground, p, omega1, include_rwa=rwa)
+        assert abs(ds.eigenvalue - g_val) <= 1e-10
+        assert np.abs(ds.vector - g_vec).max() <= 1e-10
+        for n, m in DLE_CHANNELS:
+            label = BasisState(n, CLASS_REPRESENTATIVE[m])
+            t_val, t_vec = _reference_dressed(label, p, omega2, rwa)
+            ds = dressed_state(label, p, omega2, include_rwa=rwa)
+            assert abs(ds.eigenvalue - t_val) <= 1e-10
+            assert np.abs(ds.vector - t_vec).max() <= 1e-10
+            reference = float(t_vec @ g_vec) / math.sqrt(CLASS_MULTIPLICITY[m])
+            assert abs(sudden_overlap(n, m, p, include_rwa=rwa) - reference) <= 1e-12
+
+    def test_cache_ignores_unused_frequencies(self):
+        _symmetric_eig.cache_clear()
+        for omega2 in (4.1, 4.3, 4.5):
+            dressed_state(BasisState(0, (0, 0, 0)), SystemParams(W1, omega2, E0, 0.01),
+                          omega=W1)
+        info = _symmetric_eig.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.fixture
+def broken_eigh(monkeypatch, request):
+    """np.linalg.eigh as the oracle sees it, corrupted by request.param."""
+    real = np.linalg.eigh
+    monkeypatch.setattr(oracle.np.linalg, "eigh",
+                        lambda a: request.param(*real(a)))
+    _symmetric_eig.cache_clear()
+    yield
+    _symmetric_eig.cache_clear()
+
+
+CORRUPTIONS = {
+    "Gram": lambda w, v: (w, v * (1 + 1e-6)),          # not orthonormal
+    "reconstruction": lambda w, v: (w[::-1], v),       # eigenpairs mismatched
+}
+
+
+class TestResidualChecks:
+    @pytest.mark.parametrize("broken_eigh,residual", [(f, name) for name, f in
+                                                      CORRUPTIONS.items()],
+                             indirect=["broken_eigh"])
+    def test_dressed_state_raises(self, broken_eigh, residual):
+        with pytest.raises(SolverDiagnosticsError, match=residual):
+            dressed_state(BasisState(0, (0, 0, 0)), SystemParams(W1, 4.5, E0, 0.01),
+                          omega=W1, include_rwa=True)
+
+    @pytest.mark.parametrize("broken_eigh", [CORRUPTIONS["Gram"]], indirect=True)
+    def test_diagonalize_total_raises(self, broken_eigh):
+        with pytest.raises(SolverDiagnosticsError, match="Gram"):
+            diagonalize_total(SystemParams(W1, 4.5, E0, 0.01, nmax=4), omega=W1)
+
+    @pytest.mark.parametrize("broken_eigh", [CORRUPTIONS["Gram"]], indirect=True)
+    def test_cli_exits_2(self, broken_eigh, capsys):
+        code = main(["validate", "--omega1-ghz", "5", "--omega2-ghz", "4.5",
+                     "--e0-ghz", "3.721", "--lambda-ghz", "0.02"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "solver error: eigenvector Gram residual" in captured.err
+
+
 class TestDressedState:
     def test_vanishing_coupling_limits(self, tiny_coupling):
         label = BasisState(1, (1, 0, 0))
@@ -119,6 +229,13 @@ class TestSuddenOverlap:
         rows = compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa)
         factors = shrink_factors(rows, (1, 1))
         assert all(f >= 3.0 for f in factors)
+
+    def test_v_only_pair_channels_exactly_zero(self):
+        # H0 + V conserves n - m: the (2,0) and (0,2) targets share no block,
+        # hence no basis state, with the dressed ground state
+        p = SystemParams(W1, 4.5, E0, 0.02, nmax=20)
+        assert sudden_overlap(2, 0, p, include_rwa=False) == 0.0
+        assert sudden_overlap(0, 2, p, include_rwa=False) == 0.0
 
     def test_parity_forbidden_channels(self, paper_params):
         # V_total changes n + m by 0 or +-2, so odd-parity overlaps vanish

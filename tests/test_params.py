@@ -35,6 +35,12 @@ class TestSystemParams:
         again = SystemParams.from_flat_dict(paper_params.to_flat_dict())
         assert again == paper_params
 
+    @pytest.mark.parametrize("nmax", [20.7, "20", True])
+    def test_flat_dict_rejects_non_integer_nmax(self, paper_params, nmax):
+        flat = {**paper_params.to_flat_dict(), "nmax": nmax}
+        with pytest.raises(ParameterDomainError, match="nmax must be an integer"):
+            SystemParams.from_flat_dict(flat)
+
     def test_flat_dict_rejects_unknown_keys(self):
         with pytest.raises(ParameterDomainError, match="unknown"):
             SystemParams.from_flat_dict({"omega1_ghz": 5.0, "bogus": 1.0})
