@@ -136,39 +136,40 @@ class TestBlockSolve:
         assert (info.misses, info.hits) == (1, 2)
 
 
-@pytest.fixture
-def broken_eigh(monkeypatch, request):
-    """np.linalg.eigh as the oracle sees it, corrupted by request.param."""
-    real = np.linalg.eigh
-    monkeypatch.setattr(oracle.np.linalg, "eigh",
-                        lambda a: request.param(*real(a)))
-    _symmetric_eig.cache_clear()
-    yield
-    _symmetric_eig.cache_clear()
-
-
 CORRUPTIONS = {
     "Gram": lambda w, v: (w, v * (1 + 1e-6)),          # not orthonormal
     "reconstruction": lambda w, v: (w[::-1], v),       # eigenpairs mismatched
 }
 
 
+@pytest.fixture
+def corrupt_eigh(monkeypatch):
+    """Make np.linalg.eigh, as the oracle sees it, return corrupted output."""
+    real = np.linalg.eigh
+
+    def install(corruption):
+        monkeypatch.setattr(oracle.np.linalg, "eigh", lambda a: corruption(*real(a)))
+        _symmetric_eig.cache_clear()
+
+    yield install
+    _symmetric_eig.cache_clear()
+
+
 class TestResidualChecks:
-    @pytest.mark.parametrize("broken_eigh,residual", [(f, name) for name, f in
-                                                      CORRUPTIONS.items()],
-                             indirect=["broken_eigh"])
-    def test_dressed_state_raises(self, broken_eigh, residual):
+    @pytest.mark.parametrize("residual", list(CORRUPTIONS))
+    def test_dressed_state_raises(self, corrupt_eigh, residual):
+        corrupt_eigh(CORRUPTIONS[residual])
         with pytest.raises(SolverDiagnosticsError, match=residual):
             dressed_state(BasisState(0, (0, 0, 0)), SystemParams(W1, 4.5, E0, 0.01),
                           omega=W1, include_rwa=True)
 
-    @pytest.mark.parametrize("broken_eigh", [CORRUPTIONS["Gram"]], indirect=True)
-    def test_diagonalize_total_raises(self, broken_eigh):
+    def test_diagonalize_total_raises(self, corrupt_eigh):
+        corrupt_eigh(CORRUPTIONS["Gram"])
         with pytest.raises(SolverDiagnosticsError, match="Gram"):
             diagonalize_total(SystemParams(W1, 4.5, E0, 0.01, nmax=4), omega=W1)
 
-    @pytest.mark.parametrize("broken_eigh", [CORRUPTIONS["Gram"]], indirect=True)
-    def test_cli_exits_2(self, broken_eigh, capsys):
+    def test_cli_exits_2(self, corrupt_eigh, capsys):
+        corrupt_eigh(CORRUPTIONS["Gram"])
         code = main(["validate", "--omega1-ghz", "5", "--omega2-ghz", "4.5",
                      "--e0-ghz", "3.721", "--lambda-ghz", "0.02"])
         captured = capsys.readouterr()
