@@ -25,7 +25,8 @@ the quoted numbers.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterDomainError
 from .hilbert import BasisState
@@ -38,53 +39,39 @@ DLE_CHANNELS = ((2, 0), (1, 1), (0, 2), (2, 2))
 #: Representative target configuration for each qubit excitation count.
 CLASS_REPRESENTATIVE = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 1, 0), 3: (1, 1, 1)}
 
-
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """The four nonzero transition amplitudes; everything else is zero."""
-
-    a_2_0: float
-    a_1_1: float
-    a_0_2: float
-    a_2_2: float
-
-    def get(self, n: int, m: int) -> float:
-        return {(2, 0): self.a_2_0, (1, 1): self.a_1_1,
-                (0, 2): self.a_0_2, (2, 2): self.a_2_2}.get((n, m), 0.0)
+_SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ProbabilitySet:
-    """Excitation probabilities per final qubit count; w_3 is identically zero."""
+def amplitude_table(omega1, omega2, e0, lam) -> np.ndarray:
+    """Closed-form switch amplitudes A[..., n, m] for n = 0..2, m = 0..3.
 
-    w_0: float
-    w_1: float
-    w_2: float
-    w_3: float
+    The four frequencies are broadcast against each other; the result has
+    their common shape plus the two trailing channel axes.  No guard is
+    applied: points with omega2 at E0 divide by zero, and callers mask them.
+    """
+    omega1, omega2, e0, lam = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (omega1, omega2, e0, lam)))
+    lam2 = lam ** 2
+    s1 = omega1 + e0
+    s2 = omega2 + e0
+    d2 = omega2 - e0
+    table = np.zeros(lam.shape + (3, 4))
+    table[..., 2, 0] = -3.0 * _SQRT2 * lam2 / (s1 * d2)
+    table[..., 1, 1] = lam * (1.0 / s2 - 1.0 / s1)
+    table[..., 0, 2] = 2.0 * lam2 / (d2 * s1)
+    table[..., 2, 2] = -2.0 * _SQRT2 * lam2 / (s2 * s1)
+    return table
 
 
 def amplitude_closed_form(n: int, m: int, p: SystemParams) -> float:
     """Closed-form switch amplitude A(n; m); zero outside the four channels."""
     if n < 0 or not 0 <= m <= 3:
         raise ParameterDomainError(f"invalid channel (n={n}, m={m})")
-    lam2 = p.lambda_ ** 2
-    s1 = p.omega1 + p.e0
-    s2 = p.omega2 + p.e0
-    if (n, m) == (2, 0):
+    if (n, m) in ((2, 0), (0, 2)):
         guard_detuning(p.omega2, p.e0)
-        return -3.0 * math.sqrt(2.0) * lam2 / (s1 * (p.omega2 - p.e0))
-    if (n, m) == (1, 1):
-        return p.lambda_ * (1.0 / s2 - 1.0 / s1)
-    if (n, m) == (0, 2):
-        guard_detuning(p.omega2, p.e0)
-        return 2.0 * lam2 / ((p.omega2 - p.e0) * s1)
-    if (n, m) == (2, 2):
-        return -2.0 * math.sqrt(2.0) * lam2 / (s2 * s1)
-    return 0.0
-
-
-def amplitude_set(p: SystemParams) -> AmplitudeSet:
-    return AmplitudeSet(*(amplitude_closed_form(n, m, p) for n, m in DLE_CHANNELS))
+    if n > 2:
+        return 0.0
+    return float(amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)[n, m])
 
 
 def amplitude_via_overlap(n: int, m: int, p: SystemParams,
@@ -108,39 +95,3 @@ def amplitude_via_overlap(n: int, m: int, p: SystemParams,
     if abs(value.imag) > 1e-15 * max(1.0, abs(value.real)):
         raise AssertionError(f"overlap unexpectedly complex: {value!r}")
     return value.real
-
-
-def probabilities(p: SystemParams) -> ProbabilitySet:
-    """Per-channel probabilities: w_0 = A(2;0)^2, w_1 = A(1;1)^2, w_2 = A(0;2)^2 + A(2;2)^2."""
-    a = amplitude_set(p)
-    return ProbabilitySet(
-        w_0=a.a_2_0 ** 2,
-        w_1=a.a_1_1 ** 2,
-        w_2=a.a_0_2 ** 2 + a.a_2_2 ** 2,
-        w_3=0.0,
-    )
-
-
-def entanglement_witness_product_gap(p: SystemParams) -> float:
-    """w_2 - w_1^2: two-qubit excitation is not an independent-event product."""
-    w = probabilities(p)
-    return w.w_2 - w.w_1 ** 2
-
-
-def amplitude_rows(p: SystemParams) -> list[dict]:
-    """Per-channel report rows for JSON / CSV serialization."""
-    return [
-        {"n": n, "m": m,
-         "amplitude": amplitude_closed_form(n, m, p),
-         "probability": amplitude_closed_form(n, m, p) ** 2}
-        for n, m in DLE_CHANNELS
-    ]
-
-
-def rows_to_csv(p: SystemParams) -> str:
-    """CSV of the report rows, columns n, m, amplitude, probability."""
-    from .serialize import csv_lines
-
-    rows = [[r["n"], r["m"], r["amplitude"], r["probability"]]
-            for r in amplitude_rows(p)]
-    return csv_lines(["n", "m", "amplitude", "probability"], rows)

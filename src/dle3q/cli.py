@@ -7,13 +7,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from . import amplitudes, entangle, oracle
+import numpy as np
+
+from . import entangle, oracle
+from .amplitudes import DLE_CHANNELS
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SingularityError, SolverDiagnosticsError,
                      TruncationHeadroomError)
-from .params import SystemParams, validate_params
+from .params import SystemParams, guard_detuning
 from .serialize import csv_lines, json_dumps
 
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
@@ -49,161 +53,155 @@ def _collect_params(args, need_omega2: bool = True) -> SystemParams:
         value = getattr(args, key, None)
         if value is not None:
             flat[key] = value
-    if not need_omega2 and "omega1_ghz" in flat:
-        # omega2 comes from the sweep grid; seed a valid placeholder.
-        flat.setdefault("omega2_ghz", flat["omega1_ghz"])
-    required = ("omega1_ghz", "omega2_ghz", "e0_ghz", "lambda_ghz")
+    required = [k for k in ("omega1_ghz", "omega2_ghz", "e0_ghz", "lambda_ghz")
+                if need_omega2 or k != "omega2_ghz"]
     missing = [_PARAM_FLAGS[k] for k in required if k not in flat]
     if missing:
         raise ParameterDomainError(f"missing required parameter flag(s): {' '.join(missing)}")
+    if not need_omega2:
+        # omega2 comes from the sweep grid; a fixed value is replaced, not checked.
+        flat["omega2_ghz"] = flat["omega1_ghz"]
     return SystemParams.from_flat_dict(flat)
 
 
-def _summary_block(p: SystemParams) -> dict:
-    w = amplitudes.probabilities(p)
-    ent = entangle.entanglement_report(p)
+#: The published quantities, as report's summary block and sweep's columns.
+SUMMARY_KEYS = ["w_1", "w_2", "tau_2", "c_0_ab1", "c_1_ab0", "c_2_ab0", "c_2_ab1"]
+SWEEP_COLUMNS = ["omega2", "w_0", *SUMMARY_KEYS, "perturbative_ok"]
+
+
+def _finite(name: str, values):
+    """values as Python scalars (nested lists for arrays), all of them finite."""
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise ParameterDomainError(
+            f"{name} is not finite at these parameters (outside double-precision range)")
+    return values.tolist()
+
+
+def _headline(cf: entangle.ClosedForms) -> dict:
+    """The published quantities of every point, keyed by sweep column."""
+    w, s = cf.w, cf.sectors
+    return {"w_0": w[..., 0], "w_1": w[..., 1], "w_2": w[..., 2],
+            "tau_2": s.tau_abc[..., 2], "c_0_ab1": s.c_ab1[..., 0],
+            "c_1_ab0": s.c_ab0[..., 1], "c_2_ab0": s.c_ab0[..., 2],
+            "c_2_ab1": s.c_ab1[..., 2]}
+
+
+def _sector_rows(cf: entangle.ClosedForms) -> list[dict]:
+    """One entanglement row per photon number, raw and sector-normalized."""
+    normalized = entangle.sector_measures(entangle.normalized_sectors(cf.amplitudes))
+    raw = {key: _finite(key, value) for key, value in vars(cf.sectors).items()}
+    unit = {key: _finite(f"normalized {key}", getattr(normalized, key))
+            for key in ("tau_abc", "c_ab0", "c_ab1")}
+    return [{"n": n, **{key: values[n] for key, values in raw.items()},
+             "normalized_variant": {key: values[n] for key, values in unit.items()}}
+            for n in range(3)]
+
+
+def _report_doc(p: SystemParams) -> dict:
+    """Everything report prints about one point, as Python scalars."""
+    guard_detuning(p.omega2, p.e0)
+    cf = entangle.entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+    amps = _finite("amplitudes", cf.amplitudes)
+    probs = _finite("probabilities", cf.amplitudes ** 2)
+    w = _finite("w", cf.w)
     return {
-        "w_1": w.w_1,
-        "w_2": w.w_2,
-        "tau_2": ent.row(2).tau_abc,
-        "c_0_ab1": ent.row(0).c_ab1,
-        "c_1_ab0": ent.row(1).c_ab0,
-        "c_2_ab0": ent.row(2).c_ab0,
-        "c_2_ab1": ent.row(2).c_ab1,
+        "inputs": p.to_flat_dict(),
+        "validity": {key: _finite(key, value) for key, value in vars(cf.validity).items()},
+        "amplitudes": {f"a_{n}_{m}": amps[n][m] for n, m in DLE_CHANNELS},
+        "channels": [{"n": n, "m": m, "amplitude": amps[n][m], "probability": probs[n][m]}
+                     for n, m in DLE_CHANNELS],
+        "probabilities": {**{f"w_{m}": w[m] for m in range(4)},
+                          "product_gap": _finite("product_gap", cf.product_gap)},
+        "entanglement": _sector_rows(cf),
+        "summary": {key: _finite(key, value) for key, value in _headline(cf).items()
+                    if key in SUMMARY_KEYS},
     }
 
 
-def _entangle_row_dict(row: entangle.EntanglementRow) -> dict:
-    return {
-        "n": row.n,
-        "tau_abc": row.tau_abc,
-        "c_ab0": row.c_ab0,
-        "c_ab1": row.c_ab1,
-        "c_ab1_formula_path": row.c_ab1_formula_path,
-        "formula_path_mismatch": row.formula_path_mismatch,
-        "normalized_variant": {
-            "tau_abc": row.normalized_variant.tau_abc,
-            "c_ab0": row.normalized_variant.c_ab0,
-            "c_ab1": row.normalized_variant.c_ab1,
-        },
-    }
+#: Overflow surfaces as inf or nan, which _finite turns into exit code 2.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
+@_QUIET_OVERFLOW
 def cmd_report(args) -> int:
-    p = _collect_params(args)
-    validity = validate_params(p)
-    amps = amplitudes.amplitude_set(p)
-    probs = amplitudes.probabilities(p)
-    ent = entangle.entanglement_report(p)
+    doc = _report_doc(_collect_params(args))
     if args.format == "json":
-        doc = {
-            "inputs": p.to_flat_dict(),
-            "validity": {
-                "eta_sum1": validity.eta_sum1,
-                "eta_sum2": validity.eta_sum2,
-                "eta_diff1": validity.eta_diff1,
-                "eta_diff2": validity.eta_diff2,
-                "perturbative_ok": validity.perturbative_ok,
-            },
-            "amplitudes": {
-                "a_2_0": amps.a_2_0, "a_1_1": amps.a_1_1,
-                "a_0_2": amps.a_0_2, "a_2_2": amps.a_2_2,
-            },
-            "channels": amplitudes.amplitude_rows(p),
-            "probabilities": {
-                "w_0": probs.w_0, "w_1": probs.w_1, "w_2": probs.w_2, "w_3": probs.w_3,
-                "product_gap": amplitudes.entanglement_witness_product_gap(p),
-            },
-            "entanglement": [_entangle_row_dict(r) for r in ent.rows],
-            "summary": _summary_block(p),
-        }
         sys.stdout.write(json_dumps(doc))
         return 0
     # Long-format CSV: one data row per (n, measure).
-    rows: list[list] = []
-    for key, value in p.to_flat_dict().items():
-        rows.append([None, key, float(value) if key != "nmax" else value])
-    for key in ("eta_sum1", "eta_sum2", "eta_diff1", "eta_diff2", "perturbative_ok"):
-        rows.append([None, key, getattr(validity, key)])
-    for ch in amplitudes.amplitude_rows(p):
+    rows: list[list] = [[None, key, float(value) if key != "nmax" else value]
+                        for key, value in doc["inputs"].items()]
+    rows += [[None, key, value] for key, value in doc["validity"].items()]
+    for ch in doc["channels"]:
         rows.append([ch["n"], f"amplitude_m{ch['m']}", ch["amplitude"]])
         rows.append([ch["n"], f"probability_m{ch['m']}", ch["probability"]])
-    for key, value in (("w_0", probs.w_0), ("w_1", probs.w_1),
-                       ("w_2", probs.w_2), ("w_3", probs.w_3)):
-        rows.append([None, key, value])
-    rows.append([None, "product_gap", amplitudes.entanglement_witness_product_gap(p)])
-    for r in ent.rows:
-        rows.append([r.n, "tau_abc", r.tau_abc])
-        rows.append([r.n, "c_ab0", r.c_ab0])
-        rows.append([r.n, "c_ab1", r.c_ab1])
-        rows.append([r.n, "c_ab1_formula_path", r.c_ab1_formula_path])
-        rows.append([r.n, "formula_path_mismatch", r.formula_path_mismatch])
-        rows.append([r.n, "normalized_tau_abc", r.normalized_variant.tau_abc])
-        rows.append([r.n, "normalized_c_ab0", r.normalized_variant.c_ab0])
-        rows.append([r.n, "normalized_c_ab1", r.normalized_variant.c_ab1])
+    rows += [[None, key, value] for key, value in doc["probabilities"].items()]
+    for r in doc["entanglement"]:
+        rows += [[r["n"], key, value] for key, value in r.items()
+                 if key not in ("n", "normalized_variant")]
+        rows += [[r["n"], f"normalized_{key}", value]
+                 for key, value in r["normalized_variant"].items()]
     sys.stdout.write(csv_lines(["n", "measure", "value"], rows))
     return 0
 
 
-def _sweep_rows(p_base: SystemParams, grid: list[float], threshold: float = 0.5):
-    rows, skipped = [], 0
-    for omega2 in grid:
-        if abs(omega2 - p_base.e0) < SWEEP_GUARD_BAND * p_base.e0:
-            skipped += 1
-            continue
-        p = SystemParams(p_base.omega1, omega2, p_base.e0, p_base.lambda_, p_base.nmax)
-        probs = amplitudes.probabilities(p)
-        ent = entangle.entanglement_report(p)
-        rows.append({
-            "omega2": omega2,
-            "w_0": probs.w_0, "w_1": probs.w_1, "w_2": probs.w_2,
-            "tau_2": ent.row(2).tau_abc,
-            "c_0_ab1": ent.row(0).c_ab1,
-            "c_1_ab0": ent.row(1).c_ab0,
-            "c_2_ab0": ent.row(2).c_ab0,
-            "c_2_ab1": ent.row(2).c_ab1,
-            "perturbative_ok": validate_params(p, threshold).perturbative_ok,
-        })
-    return rows, skipped
-
-
-def _monotone_flags(rows, e0: float) -> dict:
+def _monotone_flags(omega2: np.ndarray, tau_2: np.ndarray, e0: float) -> dict:
     """tau_2 should grow toward E0 on either side; None when a side has < 2 rows."""
-    below = [r["tau_2"] for r in rows if r["omega2"] < e0]
-    above = [r["tau_2"] for r in rows if r["omega2"] > e0]
-    flags = {}
-    flags["tau_2_monotone_below_e0"] = (
-        all(a < b for a, b in zip(below, below[1:])) if len(below) >= 2 else None)
-    flags["tau_2_monotone_above_e0"] = (
-        all(a > b for a, b in zip(above, above[1:])) if len(above) >= 2 else None)
-    return flags
+    below = tau_2[omega2 < e0]
+    above = tau_2[omega2 > e0]
+    return {
+        "tau_2_monotone_below_e0":
+            bool((below[:-1] < below[1:]).all()) if below.size >= 2 else None,
+        "tau_2_monotone_above_e0":
+            bool((above[:-1] > above[1:]).all()) if above.size >= 2 else None,
+    }
 
 
-SWEEP_COLUMNS = ["omega2", "w_0", "w_1", "w_2", "tau_2",
-                 "c_0_ab1", "c_1_ab0", "c_2_ab0", "c_2_ab1", "perturbative_ok"]
+def _sweep_table(p_base: SystemParams, omega2: np.ndarray):
+    """An iterator over the SWEEP_COLUMNS values of each grid point, and the monotone flags."""
+    cf = entangle.entanglement_report(p_base.omega1, omega2, p_base.e0, p_base.lambda_)
+    columns = {"omega2": omega2, **_headline(cf),
+               "perturbative_ok": cf.validity.perturbative_ok}
+    flags = _monotone_flags(omega2, columns["tau_2"], p_base.e0)
+    return zip(*(_finite(key, columns[key]) for key in SWEEP_COLUMNS)), flags
 
 
+def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
+                skipped: int) -> tuple[str, dict]:
+    """A sweep's stdout and its monotone flags.
+
+    The rows are freed when this returns, before the text is written out.
+    """
+    rows, flags = _sweep_table(p_base, omega2)
+    if fmt == "csv":
+        return csv_lines(SWEEP_COLUMNS, rows), flags
+    doc = {"inputs": p_base.to_flat_dict(),
+           "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
+           "skipped": skipped, **flags}
+    del doc["inputs"]["omega2_ghz"]  # swept, not a fixed input
+    return json_dumps(doc), flags
+
+
+@_QUIET_OVERFLOW
 def cmd_sweep(args) -> int:
     p_base = _collect_params(args, need_omega2=False)
     lo, hi, steps = args.omega2_min_ghz, args.omega2_max_ghz, args.steps
     if lo is None or hi is None:
         raise ParameterDomainError(
             "missing required parameter flag(s): --omega2-min-ghz --omega2-max-ghz")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterDomainError(f"omega2_min and omega2_max must be finite, got {lo}, {hi}")
     if not (0.0 < lo < hi):
         raise ParameterDomainError(f"need 0 < omega2_min < omega2_max, got {lo}, {hi}")
     if steps < 2:
         raise ParameterDomainError(f"steps must be >= 2, got {steps}")
-    grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    rows, skipped = _sweep_rows(p_base, grid)
-    flags = _monotone_flags(rows, p_base.e0)
-    if args.format == "json":
-        doc = {"inputs": p_base.to_flat_dict(), "rows": rows,
-               "skipped": skipped, **flags}
-        del doc["inputs"]["omega2_ghz"]  # swept, not a fixed input
-        sys.stdout.write(json_dumps(doc))
-    else:
-        table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
-        sys.stdout.write(csv_lines(SWEEP_COLUMNS, table))
+    grid = lo + (hi - lo) * np.arange(steps) / (steps - 1)
+    omega2 = grid[~(abs(grid - p_base.e0) < SWEEP_GUARD_BAND * p_base.e0)]
+    skipped = steps - omega2.size
+    text, flags = _sweep_text(args.format, p_base, omega2, skipped)
+    sys.stdout.write(text)
+    if args.format == "csv":
         print(f"skipped: {skipped}", file=sys.stderr)
         for key, value in flags.items():
             print(f"{key}: {value}", file=sys.stderr)

@@ -14,21 +14,26 @@ The residual tangle uses the Cayley hyperdeterminant form
 
 (+4 d3 is the Coffman-Kundu-Wootters convention, required for the monogamy
 equality tau_A(BC) = C_AB^2 + C_AC^2 + tau_ABC on normalized pure states;
-it is degree-4 homogeneous, so unnormalized sectors scale as |k|^4).
+it is degree-4 homogeneous, so unnormalized sectors scale as |k|^4).  The
+pair concurrence with the third qubit fixed to 0 or 1 is 2|ad - bc| of the
+remaining 2x2 block: C|n>_AB0 = 2|a0 a2 - a1^2|, C|n>_AB1 = 2|a1 a3 - a2^2|.
 
+entanglement_report evaluates every closed form once over numpy parameter
+arrays; the CLI's report runs it at one point and its sweep over a grid.
 Raw sector values reproduce the published numbers; a normalized variant
-(sector divided by its norm) is reported alongside as a diagnostic.
+(each sector scaled to unit norm) is reported alongside as a diagnostic.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .amplitudes import amplitude_closed_form
+from .amplitudes import amplitude_table
 from .errors import NormalizationError
-from .params import SystemParams, guard_detuning
+from .params import ValidityReport, validate_params
 
 #: sigma_y (x) sigma_y, the two-qubit spin-flip kernel (real in this basis).
 _SPIN_FLIP = np.array([
@@ -39,176 +44,124 @@ _SPIN_FLIP = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class ConditionalState:
-    """Qubit amplitude sector for a fixed photon number n (unnormalized)."""
+#: Published C|n>_AB1 over the formula-path value 2|a1 a3 - a2^2|, for n = 0, 1, 2.
+#: The paper tabulates C|2>_AB1 = 8 lam^4 / ((w2+E0)(w1+E0))^2, half the
+#: formula value; the report prints both and flags the mismatch.
+TABULATED_C_AB1_FACTOR = np.array([1.0, 1.0, 0.5])
 
-    n: int
-    a: tuple[complex, complex, complex, complex, complex, complex, complex, complex]
+#: Qubit bits (i, j, k) of coefficient a[4i + 2j + k].
+_BITS = tuple(itertools.product((0, 1), repeat=3))
 
-    def coefficient(self, i: int, j: int, k: int) -> complex:
-        return self.a[4 * i + 2 * j + k]
+#: Number of excited qubits of each coefficient a[4i + 2j + k].
+_EXCITATIONS = np.array([sum(bits) for bits in _BITS])
 
-    def norm2(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.a))
-
-
-@dataclass(frozen=True)
-class NormalizedMeasures:
-    tau_abc: float
-    c_ab0: float
-    c_ab1: float
+#: binom(3, m): how many of the eight sector coefficients equal A(n; m).
+_MULTIPLICITY = np.array([1.0, 3.0, 3.0, 1.0])
 
 
 @dataclass(frozen=True)
-class EntanglementRow:
-    n: int
-    tau_abc: float
-    c_ab0: float
-    c_ab1: float
-    c_ab1_formula_path: float
-    formula_path_mismatch: bool
-    normalized_variant: NormalizedMeasures
+class SectorMeasures:
+    """Entanglement of the photon-number sectors; each field's last axis is n = 0, 1, 2."""
+
+    tau_abc: np.ndarray
+    c_ab0: np.ndarray
+    c_ab1: np.ndarray  # the published convention, TABULATED_C_AB1_FACTOR * c_ab1_formula_path
+    c_ab1_formula_path: np.ndarray
+    formula_path_mismatch: np.ndarray
 
 
 @dataclass(frozen=True)
-class EntanglementReport:
-    rows: tuple[EntanglementRow, ...]
+class ClosedForms:
+    """Every closed-form result at the broadcast shape of the parameter arrays."""
 
-    def row(self, n: int) -> EntanglementRow:
-        for r in self.rows:
-            if r.n == n:
-                return r
-        raise KeyError(n)
-
-
-def conditional_state(n: int, p: SystemParams) -> ConditionalState:
-    """Amplitude sector of Eq.-type mapping at photon number n."""
-    amps = [amplitude_closed_form(n, m, p) for m in range(4)]
-    a = [0.0 + 0.0j] * 8
-    for bits in range(8):
-        a[bits] = complex(amps[bin(bits).count("1")])
-    return ConditionalState(n=n, a=tuple(a))
+    amplitudes: np.ndarray  # A[..., n, m], n = 0..2, m = 0..3
+    w: np.ndarray  # w[..., m], the sum over n of A(n; m)^2
+    product_gap: np.ndarray  # w_2 - w_1^2
+    sectors: SectorMeasures  # of the raw, unnormalized sectors
+    validity: ValidityReport
 
 
-def _d_invariants(a) -> tuple[complex, complex, complex]:
-    c = {(i, j, k): complex(a[4 * i + 2 * j + k])
-         for i in (0, 1) for j in (0, 1) for k in (0, 1)}
-    d1 = (c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2 + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
-          + c[0, 1, 0] ** 2 * c[1, 0, 1] ** 2 + c[1, 0, 0] ** 2 * c[0, 1, 1] ** 2)
-    d2 = (c[0, 0, 0] * c[1, 1, 1] * c[0, 1, 1] * c[1, 0, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 0, 0] * c[1, 1, 1] * c[1, 1, 0] * c[0, 0, 1]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 0, 1] * c[0, 1, 0]
-          + c[0, 1, 1] * c[1, 0, 0] * c[1, 1, 0] * c[0, 0, 1]
-          + c[1, 0, 1] * c[0, 1, 0] * c[1, 1, 0] * c[0, 0, 1])
+def _d_invariants(a):
+    c = dict(zip(_BITS, a))
+    # d1 and d2 are sums over the products of complementary coefficients
+    # a_ijk a_(1-i)(1-j)(1-k): d1 of their squares, d2 of their distinct pairs.
+    p000, p001, p010, p100 = (c[0, 0, 0] * c[1, 1, 1], c[0, 0, 1] * c[1, 1, 0],
+                              c[0, 1, 0] * c[1, 0, 1], c[1, 0, 0] * c[0, 1, 1])
+    d1 = p000 ** 2 + p001 ** 2 + p010 ** 2 + p100 ** 2
+    d2 = (p000 * p100 + p000 * p010 + p000 * p001
+          + p100 * p010 + p100 * p001 + p010 * p001)
     d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
           + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
     return d1, d2, d3
 
 
-def residual_tangle_general(a) -> float:
-    """Three-tangle 4|d1 - 2 d2 + 4 d3| of eight coefficients (any norm)."""
+def residual_tangle_general(a):
+    """Three-tangle 4|d1 - 2 d2 + 4 d3| of eight coefficients a[4i + 2j + k] (any norm).
+
+    Each coefficient may be a number or an array; arrays give the tangle
+    elementwise, so a[k] may hold coefficient k of many states.
+    """
     d1, d2, d3 = _d_invariants(a)
     return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
-def conditional_tangle(n: int, p: SystemParams) -> float:
-    """Residual tangle of the n-photon sector; nonzero only for n = 2."""
-    if n != 2:
-        return 0.0
-    guard_detuning(p.omega2, p.e0)
-    lam2 = p.lambda_ ** 2
-    s1 = p.omega1 + p.e0
-    pair = 3.0 * math.sqrt(2.0) * lam2 / (s1 * abs(p.omega2 - p.e0))
-    double = 2.0 * math.sqrt(2.0) * lam2 / ((p.omega2 + p.e0) * s1)
-    return 16.0 * pair * double ** 3
-
-
-def concurrence_pair_general(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Pure two-qubit concurrence 2|ad - bc| of coefficients (a, b, c, d)."""
+def concurrence_pair_general(a, b, c, d):
+    """Pure two-qubit concurrence 2|ad - bc| of coefficients (a, b, c, d), elementwise."""
     return 2.0 * abs(a * d - b * c)
 
 
-def conditional_concurrence(n: int, third_excited: bool, p: SystemParams) -> float:
-    """Pair concurrence of the n-photon sector with the third qubit fixed.
+def symmetric_sector(table) -> list[np.ndarray]:
+    """Coefficients a[4i + 2j + k] = A[..., n, i + j + k] of every photon-number sector.
 
-    Table-form values; the (n=2, third excited) entry follows the published
-    table (8 lam^4 / D^2), which is half the raw 2|a'd' - b'c'| formula value
-    (see concurrence_formula_path).
+    Each entry is a view of the table with shape table.shape[:-1].
     """
-    if n > 2 or n < 0:
-        return 0.0
-    lam2 = p.lambda_ ** 2
-    s1 = p.omega1 + p.e0
-    s2 = p.omega2 + p.e0
-    if n == 0:
-        if not third_excited:
-            return 0.0
-        guard_detuning(p.omega2, p.e0)
-        return 2.0 * (2.0 * lam2 / ((p.omega2 - p.e0) * s1)) ** 2
-    if n == 1:
-        if third_excited:
-            return 0.0
-        return 2.0 * lam2 * (1.0 / s2 - 1.0 / s1) ** 2
-    if third_excited:
-        return 8.0 * lam2 ** 2 / (s2 ** 2 * s1 ** 2)
-    guard_detuning(p.omega2, p.e0)
-    return 24.0 * lam2 ** 2 / (abs(p.omega2 ** 2 - p.e0 ** 2) * s1 ** 2)
+    table = np.asarray(table)
+    return [table[..., m] for m in _EXCITATIONS]
 
 
-def concurrence_formula_path(n: int, third_excited: bool, p: SystemParams) -> float:
-    """2|a'd' - b'c'| applied directly to the amplitude mapping.
+def sector_measures(table) -> SectorMeasures:
+    """Tangle and pair concurrences of each photon-number sector of A[..., n, m]."""
+    a0, a1, a2, a3 = np.moveaxis(np.asarray(table), -1, 0)
+    formula = concurrence_pair_general(a1, a2, a2, a3)
+    c_ab1 = TABULATED_C_AB1_FACTOR * formula
+    scale = np.maximum(np.maximum(abs(formula), abs(c_ab1)), 1e-300)
+    return SectorMeasures(
+        tau_abc=residual_tangle_general(symmetric_sector(table)),
+        c_ab0=concurrence_pair_general(a0, a1, a1, a2),
+        c_ab1=c_ab1,
+        c_ab1_formula_path=formula,
+        formula_path_mismatch=abs(formula - c_ab1) > 1e-12 * scale)
 
-    Agrees with conditional_concurrence everywhere except (n=2, third
-    excited), where it returns twice the tabulated value; the report exposes
-    both and flags the mismatch.
+
+def normalized_sectors(table) -> np.ndarray:
+    """A[..., n, m] with each n-photon sector scaled to unit norm; zero sectors stay zero.
+
+    Dividing by the largest |A(n; m)| first keeps the norm representable for
+    sectors far below or above unit size.
     """
-    amps = [amplitude_closed_form(n, m, p) for m in range(4)]
-    if third_excited:
-        quad = (amps[1], amps[2], amps[2], amps[3])
-    else:
-        quad = (amps[0], amps[1], amps[1], amps[2])
-    return concurrence_pair_general(*quad)
+    table = np.asarray(table, dtype=float)
+    peak = abs(table).max(axis=-1, keepdims=True)
+    unit = np.divide(table, peak, out=np.zeros_like(table), where=peak > 0)
+    norm = np.sqrt((unit ** 2 * _MULTIPLICITY).sum(axis=-1, keepdims=True))
+    return np.divide(unit, norm, out=unit, where=norm > 0)
 
 
-def entanglement_report(p: SystemParams) -> EntanglementReport:
-    """Tangle and concurrences for n = 0, 1, 2, raw and normalized."""
-    rows = []
-    for n in (0, 1, 2):
-        tau = conditional_tangle(n, p)
-        c0 = conditional_concurrence(n, False, p)
-        c1 = conditional_concurrence(n, True, p)
-        c1_formula = concurrence_formula_path(n, True, p)
-        mismatch = abs(c1_formula - c1) > 1e-12 * max(abs(c1_formula), abs(c1), 1e-300)
-        norm2 = conditional_state(n, p).norm2()
-        if norm2 > 0.0:
-            normalized = NormalizedMeasures(
-                tau_abc=tau / norm2 ** 2, c_ab0=c0 / norm2, c_ab1=c1 / norm2)
-        else:
-            normalized = NormalizedMeasures(0.0, 0.0, 0.0)
-        rows.append(EntanglementRow(
-            n=n, tau_abc=tau, c_ab0=c0, c_ab1=c1,
-            c_ab1_formula_path=c1_formula, formula_path_mismatch=mismatch,
-            normalized_variant=normalized))
-    return EntanglementReport(rows=tuple(rows))
+def entanglement_report(omega1, omega2, e0, lam, threshold: float = 0.5) -> ClosedForms:
+    """Amplitudes, probabilities, sector measures and validity ratios over arrays.
 
-
-#: Column order of the wide CSV serialization of EntanglementReport.
-REPORT_CSV_COLUMNS = ("n", "tau_abc", "c_ab0", "c_ab1", "c_ab1_formula_path",
-                      "formula_path_mismatch", "normalized_tau_abc",
-                      "normalized_c_ab0", "normalized_c_ab1")
-
-
-def report_to_csv(report: EntanglementReport) -> str:
-    """Wide CSV of the report, one row per photon number."""
-    from .serialize import csv_lines
-
-    rows = [[r.n, r.tau_abc, r.c_ab0, r.c_ab1, r.c_ab1_formula_path,
-             r.formula_path_mismatch, r.normalized_variant.tau_abc,
-             r.normalized_variant.c_ab0, r.normalized_variant.c_ab1]
-            for r in report.rows]
-    return csv_lines(list(REPORT_CSV_COLUMNS), rows)
+    The four frequencies broadcast against each other as in amplitude_table;
+    scalars give one point.  Nothing is guarded or masked here: callers
+    exclude omega2 = E0 and check that the values they print are finite.
+    """
+    omega1, omega2, e0, lam = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (omega1, omega2, e0, lam)))
+    table = amplitude_table(omega1, omega2, e0, lam)
+    w = (table ** 2).sum(axis=-2)
+    point = SimpleNamespace(omega1=omega1, omega2=omega2, e0=e0, lambda_=lam)
+    return ClosedForms(amplitudes=table, w=w,
+                       product_gap=w[..., 2] - w[..., 1] ** 2,
+                       sectors=sector_measures(table),
+                       validity=validate_params(point, threshold))
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:

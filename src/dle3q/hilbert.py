@@ -15,7 +15,6 @@ would leave the cutoff are simply dropped.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -184,14 +183,3 @@ def hamiltonian_total(p: SystemParams, omega: float, include_rwa: bool = False) 
         h += hamiltonian_v_rwa(p)
     return h
 
-
-def matrix_csv(matrix: np.ndarray, nmax: int) -> str:
-    """Dense row-major CSV dump with basis labels as header, for debugging."""
-    basis = build_basis(nmax)
-    if matrix.shape != (len(basis), len(basis)):
-        raise ValueError(f"matrix shape {matrix.shape} does not match nmax={nmax}")
-    buf = io.StringIO()
-    buf.write(",".join(s.label for s in basis) + "\n")
-    for row in matrix:
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()

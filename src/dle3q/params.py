@@ -7,7 +7,9 @@ and plain-GHz inputs are the natural unit.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
@@ -88,7 +90,10 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Dimensionless coupling-over-detuning ratios controlling perturbation theory."""
+    """Dimensionless coupling-over-detuning ratios controlling perturbation theory.
+
+    Fields are floats for a SystemParams and arrays for array parameters.
+    """
 
     eta_sum1: float
     eta_sum2: float
@@ -103,6 +108,9 @@ class ValidityReport:
 def validate_params(p: SystemParams, threshold: float = 0.5) -> ValidityReport:
     """Report lambda/(omega +- E0) ratios; perturbative_ok iff all are below threshold.
 
+    p may also be any object whose omega1, omega2, e0 and lambda_ are numpy
+    arrays; the ratios and the flag are then elementwise.
+
     The paper states no quantitative smallness criterion, so the threshold is
     a tool-level default.  Note the paper's own omega2 choice sits 0.029 GHz
     from E0 and fails any reasonable threshold through eta_diff2; that is
@@ -116,7 +124,8 @@ def validate_params(p: SystemParams, threshold: float = 0.5) -> ValidityReport:
         p.lambda_ / abs(p.omega1 - p.e0),
         p.lambda_ / abs(p.omega2 - p.e0),
     )
-    return ValidityReport(*ratios, perturbative_ok=all(r < threshold for r in ratios))
+    ok = functools.reduce(operator.and_, (r < threshold for r in ratios))
+    return ValidityReport(*ratios, perturbative_ok=ok)
 
 
 def guard_detuning(omega: float, e0: float) -> None:

@@ -65,10 +65,12 @@ def lamb_shift(m: int, omega: float, p: SystemParams) -> LambShift:
         value = -3.0 * lam2 / (omega + p.e0)
     else:
         guard_detuning(omega, p.e0)
+        # (omega - E0)(omega + E0) keeps the detuning exact near resonance,
+        # where omega^2 - E0^2 would cancel.
         if m == 1:
-            value = lam2 * (p.e0 - 3.0 * omega) / (omega ** 2 - p.e0 ** 2)
+            value = lam2 * (p.e0 - 3.0 * omega) / ((omega - p.e0) * (omega + p.e0))
         elif m == 2:
-            value = -lam2 * (p.e0 + 3.0 * omega) / (omega ** 2 - p.e0 ** 2)
+            value = -lam2 * (p.e0 + 3.0 * omega) / ((omega - p.e0) * (omega + p.e0))
         else:
             value = -3.0 * lam2 / (omega - p.e0)
     return LambShift(m=m, omega=omega, value=value)
@@ -88,7 +90,8 @@ def energy_second_order(s: BasisState, omega: float, p: SystemParams) -> float:
         guard_detuning(omega, p.e0)
     dynamic = 0.0
     if n > 0:
-        dynamic = (3 - 2 * m) * 2.0 * p.e0 * n * p.lambda_ ** 2 / (omega ** 2 - p.e0 ** 2)
+        dynamic = ((3 - 2 * m) * 2.0 * p.e0 * n * p.lambda_ ** 2
+                   / ((omega - p.e0) * (omega + p.e0)))
     return energy_unperturbed(s, omega, p.e0) + dynamic + lamb_shift(m, omega, p).value
 
 

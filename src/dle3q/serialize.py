@@ -68,21 +68,13 @@ def json_dumps(obj, indent: int = 2) -> str:
 
 
 def csv_lines(header: list[str], rows: list[list]) -> str:
-    """CSV with the same scalar formatting as the JSON emitter (no quoting needed)."""
+    """CSV with the same scalar formatting as the JSON emitter (no quoting needed).
+
+    None becomes an empty cell and strings are written as they are.
+    """
     out = io.StringIO()
     out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(str(v) if isinstance(v, str) else _csv_scalar(v) for v in row) + "\n")
+        out.write(",".join("" if v is None else v if isinstance(v, str) else _format_value(v)
+                           for v in row) + "\n")
     return out.getvalue()
-
-
-def _csv_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if value is None:
-        return ""
-    raise TypeError(f"unsupported CSV value {value!r}")

@@ -19,16 +19,17 @@ import numpy as np
 import pytest
 
 from dle3q import (BasisState, SystemParams, amplitude_closed_form,
-                   compare_with_closed_forms, conditional_concurrence,
-                   conditional_tangle, diagonalize_total, dressed_state,
-                   energy_second_order, index_of, monogamy_residual,
-                   perturbed_state, probabilities, residual_tangle_general,
-                   symmetric_class_shift)
+                   compare_with_closed_forms, diagonalize_total, dressed_state,
+                   energy_second_order, entanglement_report, index_of,
+                   monogamy_residual, perturbed_state, residual_tangle_general,
+                   shrink_factors, symmetric_class_shift)
 from dle3q.cli import main
-from dle3q.entangle import concurrence_formula_path
-from dle3q.oracle import shrink_factors
 
 PAPER = SystemParams(omega1=5.0, omega2=3.75, e0=3.721, lambda_=0.2)
+
+
+def evaluate(p: SystemParams):
+    return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -47,39 +48,38 @@ def best_runtime(fn, repeats: int = 5) -> float:
 
 
 def test_criterion_1_single_qubit_probability():
-    w1 = probabilities(PAPER).w_1
-    runtime = best_runtime(lambda: probabilities(PAPER).w_1)
+    w1 = evaluate(PAPER).w[1]
+    runtime = best_runtime(lambda: evaluate(PAPER).w[1])
     ok = abs(w1 - 1.47e-5) <= 0.01 * 1.47e-5 and runtime < 1e-3
     report("1 (w_1 = 1.47e-5, < 1 ms)", ok, f"w_1 = {w1:.6e}, runtime = {runtime * 1e6:.0f} us")
 
 
 def test_criterion_2_two_qubit_probability():
-    w2 = probabilities(PAPER).w_2
-    runtime = best_runtime(lambda: probabilities(PAPER).w_2)
+    w2 = evaluate(PAPER).w[2]
+    runtime = best_runtime(lambda: evaluate(PAPER).w[2])
     ok = abs(w2 - 0.1) <= 0.01 * 0.1 and runtime < 1e-3
     report("2 (w_2 = 0.1, < 1 ms)", ok, f"w_2 = {w2:.6e}, runtime = {runtime * 1e6:.0f} us")
 
 
 def test_criterion_3_conditional_tangle():
-    tau2 = conditional_tangle(2, PAPER)
-    tau0 = conditional_tangle(0, PAPER)
-    tau1 = conditional_tangle(1, PAPER)
+    tau0, tau1, tau2 = evaluate(PAPER).sectors.tau_abc
     ok = abs(tau2 - 5.62e-8) <= 0.01 * 5.62e-8 and tau0 == 0.0 and tau1 == 0.0
     report("3 (tau|2> = 5.62e-8, tau|0> = tau|1> = 0)", ok,
            f"tau|2> = {tau2:.6e}, tau|0> = {tau0}, tau|1> = {tau1}")
 
 
 def test_criterion_4_conditional_concurrences():
+    sectors = evaluate(PAPER).sectors
     checks = [
-        (conditional_concurrence(0, True, PAPER), 0.2, "C|0>_AB1"),
-        (conditional_concurrence(1, False, PAPER), 2.95e-5, "C|1>_AB0"),
-        (conditional_concurrence(2, False, PAPER), 2.33e-3, "C|2>_AB0"),
-        (conditional_concurrence(2, True, PAPER), 3.02e-6, "C|2>_AB1"),
+        (sectors.c_ab1[0], 0.2, "C|0>_AB1"),
+        (sectors.c_ab0[1], 2.95e-5, "C|1>_AB0"),
+        (sectors.c_ab0[2], 2.33e-3, "C|2>_AB0"),
+        (sectors.c_ab1[2], 3.02e-6, "C|2>_AB1"),
     ]
     ok = all(abs(got - want) <= 0.01 * want for got, want, _ in checks)
     # the formula-path value must be emitted and flagged as twice the table value
-    formula = concurrence_formula_path(2, True, PAPER)
-    table = conditional_concurrence(2, True, PAPER)
+    formula = sectors.c_ab1_formula_path[2]
+    table = sectors.c_ab1[2]
     ok = ok and abs(formula - 2 * table) <= 1e-12 * formula
     code = main(["report", "--omega1-ghz", "5", "--omega2-ghz", "3.75",
                  "--e0-ghz", "3.721", "--lambda-ghz", "0.2"])
@@ -107,7 +107,7 @@ def test_criterion_5_zero_contracts():
     for p in grid:
         for n in range(7):
             ok = ok and amplitude_closed_form(n, 3, p) == 0.0
-        ok = ok and probabilities(p).w_3 == 0.0
+        ok = ok and evaluate(p).w[3] == 0.0
         for n in range(7):
             for m in range(4):
                 if (n, m) not in ((2, 0), (1, 1), (0, 2), (2, 2)):
@@ -154,20 +154,15 @@ def test_criterion_7_monogamy_property_suite():
 
 
 def test_criterion_8_tunability():
-    grid = [3.73 + (4.5 - 3.73) * i / 99 for i in range(100)]
+    grid = np.array([3.73 + (4.5 - 3.73) * i / 99 for i in range(100)])
 
     def closed_forms_on_grid():
-        taus, concs = [], []
-        for omega2 in grid:
-            p = SystemParams(5.0, omega2, 3.721, 0.2)
-            taus.append(conditional_tangle(2, p))
-            concs.append(conditional_concurrence(0, True, p))
-        return taus, concs
+        sectors = entanglement_report(5.0, grid, 3.721, 0.2).sectors
+        return sectors.tau_abc[:, 2], sectors.c_ab1[:, 0]
 
     taus, concs = closed_forms_on_grid()
     runtime = best_runtime(closed_forms_on_grid, repeats=3)
-    strictly_decreasing = (all(a > b for a, b in zip(taus, taus[1:]))
-                           and all(a > b for a, b in zip(concs, concs[1:])))
+    strictly_decreasing = bool((taus[:-1] > taus[1:]).all() and (concs[:-1] > concs[1:]).all())
     ok = strictly_decreasing and runtime < 0.1
     report("8 (tau|2> and C|0>_AB1 strictly decreasing on [3.73, 4.5], < 100 ms)",
            ok, f"100 points in {runtime * 1e3:.1f} ms, "

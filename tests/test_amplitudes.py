@@ -1,19 +1,26 @@
+import numpy as np
 import pytest
 
 from dle3q import (BasisState, ParameterDomainError, SingularityError,
-                   SystemParams, amplitude_closed_form, amplitude_set,
-                   amplitude_via_overlap, entanglement_witness_product_gap,
-                   probabilities)
-from dle3q.amplitudes import DLE_CHANNELS, amplitude_rows
+                   SystemParams, amplitude_closed_form, amplitude_table,
+                   amplitude_via_overlap, entanglement_report)
+from dle3q.amplitudes import DLE_CHANNELS
+from dle3q.cli import _report_doc
+
+
+def evaluate(p: SystemParams):
+    return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
 
 
 class TestClosedForms:
     def test_paper_point_values(self, paper_params):
-        a = amplitude_set(paper_params)
-        assert a.a_2_0 == pytest.approx(-0.671014584236905, rel=1e-12)
-        assert a.a_1_1 == pytest.approx(+0.003837028153549456, rel=1e-12)
-        assert a.a_0_2 == pytest.approx(+0.3163193085259916, rel=1e-12)
-        assert a.a_2_2 == pytest.approx(-0.001736440721266251, rel=1e-12)
+        p = paper_params
+        a = amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)
+        assert a.shape == (3, 4)
+        assert a[2, 0] == pytest.approx(-0.671014584236905, rel=1e-12)
+        assert a[1, 1] == pytest.approx(+0.003837028153549456, rel=1e-12)
+        assert a[0, 2] == pytest.approx(+0.3163193085259916, rel=1e-12)
+        assert a[2, 2] == pytest.approx(-0.001736440721266251, rel=1e-12)
 
     def test_zero_contract(self, paper_params):
         for n in range(6):
@@ -102,56 +109,63 @@ class TestOverlapRoute:
         assert abs(amplitude_via_overlap(1, 1, p) - closed) <= 1e-14 * abs(closed)
 
 
+class TestTable:
+    def test_broadcast_shape(self):
+        a = amplitude_table(5.0, np.array([[3.0], [4.0]]), 3.721, np.array([0.1, 0.2, 0.3]))
+        assert a.shape == (2, 3, 3, 4)
+        assert a[1, 2, 1, 1] == amplitude_table(5.0, 4.0, 3.721, 0.3)[1, 1]
+
+    def test_closed_form_reads_the_table(self, paper_params):
+        p = paper_params
+        table = amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)
+        for n in range(3):
+            for m in range(4):
+                assert amplitude_closed_form(n, m, p) == table[n, m]
+
+
 class TestProbabilities:
     def test_paper_values(self, paper_params):
-        w = probabilities(paper_params)
-        assert w.w_0 == pytest.approx(0.4502605722586265, rel=1e-12)
-        assert w.w_1 == pytest.approx(1.472278505113115e-05, rel=1e-12)
-        assert w.w_2 == pytest.approx(0.1000609201727399, rel=1e-12)
-        assert w.w_3 == 0.0
+        w = evaluate(paper_params).w
+        assert w[0] == pytest.approx(0.4502605722586265, rel=1e-12)
+        assert w[1] == pytest.approx(1.472278505113115e-05, rel=1e-12)
+        assert w[2] == pytest.approx(0.1000609201727399, rel=1e-12)
+        assert w[3] == 0.0
 
     def test_composition(self, paper_params):
-        a = amplitude_set(paper_params)
-        w = probabilities(paper_params)
-        assert w.w_1 == a.a_1_1 ** 2
-        assert w.w_2 == a.a_0_2 ** 2 + a.a_2_2 ** 2
-        assert w.w_0 == a.a_2_0 ** 2
+        cf = evaluate(paper_params)
+        a, w = cf.amplitudes, cf.w
+        assert w[1] == a[1, 1] ** 2
+        assert w[2] == a[0, 2] ** 2 + a[2, 2] ** 2
+        assert w[0] == a[2, 0] ** 2
 
     def test_nonnegative_on_generic_grid(self):
-        for omega2 in (0.5, 2.0, 3.7, 3.8, 6.0, 12.0):
-            w = probabilities(SystemParams(5.0, omega2, 3.721, 0.1))
-            assert min(w.w_0, w.w_1, w.w_2) >= 0.0
-            assert w.w_3 == 0.0
+        omega2 = np.array([0.5, 2.0, 3.7, 3.8, 6.0, 12.0])
+        w = entanglement_report(5.0, omega2, 3.721, 0.1).w
+        assert w.shape == (6, 4)
+        assert (w[:, :3] >= 0.0).all()
+        assert (w[:, 3] == 0.0).all()
 
 
 class TestWitnessGap:
     def test_paper_point(self, paper_params):
-        gap = entanglement_witness_product_gap(paper_params)
+        gap = evaluate(paper_params).product_gap
         assert gap == pytest.approx(0.1000609199559795, rel=1e-12)
         assert gap > 0
 
     def test_no_switch_still_gapped(self):
-        p = SystemParams(5.0, 5.0, 3.721, 0.2)
-        w = probabilities(p)
-        assert w.w_1 == 0.0
-        assert entanglement_witness_product_gap(p) == pytest.approx(w.w_2, rel=1e-15)
-        assert w.w_2 > 0
+        cf = evaluate(SystemParams(5.0, 5.0, 3.721, 0.2))
+        assert cf.w[1] == 0.0
+        assert cf.product_gap == pytest.approx(cf.w[2], rel=1e-15)
+        assert cf.w[2] > 0
 
     def test_vanishing_coupling(self):
         p = SystemParams(5.0, 3.75, 3.721, 1e-300)
-        assert entanglement_witness_product_gap(p) == pytest.approx(0.0, abs=1e-290)
+        assert evaluate(p).product_gap == pytest.approx(0.0, abs=1e-290)
 
 
 class TestReportRows:
     def test_rows_cover_channels(self, paper_params):
-        rows = amplitude_rows(paper_params)
+        rows = _report_doc(paper_params)["channels"]
         assert [(r["n"], r["m"]) for r in rows] == list(DLE_CHANNELS)
         for r in rows:
             assert r["probability"] == pytest.approx(r["amplitude"] ** 2, rel=1e-15)
-
-    def test_csv_serialization(self, paper_params):
-        from dle3q.amplitudes import rows_to_csv
-        lines = rows_to_csv(paper_params).strip().split("\n")
-        assert lines[0] == "n,m,amplitude,probability"
-        assert len(lines) == 1 + len(DLE_CHANNELS)
-        assert lines[1].startswith("2,0,-6.710145842e-01")

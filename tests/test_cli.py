@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -127,6 +128,13 @@ class TestSweep:
         assert header == ("omega2,w_0,w_1,w_2,tau_2,"
                           "c_0_ab1,c_1_ab0,c_2_ab0,c_2_ab1,perturbative_ok")
 
+    def test_missing_flag_names_only_what_sweep_needs(self, capsys):
+        code, _, err = run(capsys, ["sweep", "--e0-ghz", "3.721", "--lambda-ghz", "0.2",
+                                    "--omega2-min-ghz", "3.73", "--omega2-max-ghz", "4.5"])
+        assert code == 2
+        assert "--omega1-ghz" in err
+        assert "--omega2-ghz" not in err
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, [*SWEEP_BASE, "--omega2-min-ghz", "4.5",
                                     "--omega2-max-ghz", "3.73"])
@@ -206,3 +214,61 @@ class TestValidate:
         gated = [r for r in doc["rows"]
                  if (r["channel_n"], r["channel_m"]) == (1, 1)]
         assert all(r["rel_dev"] is None for r in gated)
+
+
+POINT = ["--omega1-ghz", "5", "--e0-ghz", "3.721"]
+
+
+class TestFiniteInputs:
+    """Finite, accepted inputs give finite output (exit 0) or exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["report", *POINT, "--omega2-ghz", "1e200", "--lambda-ghz", "0.2"], 0),
+        (["report", *POINT, "--omega2-ghz", "3.75", "--lambda-ghz", "1e100"], 2),
+        (["report", *POINT, "--omega2-ghz", "3.75", "--lambda-ghz", "1e-155"], 0),
+        (["sweep", *POINT, "--lambda-ghz", "0.2", "--omega2-min-ghz", "1",
+          "--omega2-max-ghz", "1e308"], 2),
+        (["sweep", *POINT, "--lambda-ghz", "0.2", "--omega2-min-ghz", "1",
+          "--omega2-max-ghz", "inf"], 2),
+        (["sweep", *POINT, "--lambda-ghz", "0.2", "--omega2-min-ghz", "nan",
+          "--omega2-max-ghz", "4"], 2),
+    ])
+    def test_no_traceback(self, capsys, argv, code):
+        got, out, err = run(capsys, argv)
+        assert got == code
+        if code == 0:
+            floats = []
+            json.loads(out, parse_float=lambda text: floats.append(float(text)))
+            assert floats and all(math.isfinite(x) for x in floats)
+        else:
+            assert out == ""
+            assert err.startswith("error: ")
+
+    def test_non_finite_sweep_bound_named(self, capsys):
+        code, _, err = run(capsys, [*SWEEP_BASE, "--omega2-min-ghz", "3.73",
+                                    "--omega2-max-ghz", "inf"])
+        assert code == 2
+        assert "must be finite" in err
+
+    def test_tiny_coupling_keeps_normalized_sectors(self, capsys):
+        # lam^2 is subnormal here; the normalized variant does not depend on lam
+        _, tiny, _ = run(capsys, ["report", *POINT, "--omega2-ghz", "3.75",
+                                  "--lambda-ghz", "1e-155"])
+        _, paper, _ = run(capsys, ["report", *PAPER_FLAGS])
+        rows = [json.loads(text)["entanglement"] for text in (tiny, paper)]
+        assert rows[0][1]["normalized_variant"] == rows[1][1]["normalized_variant"]
+        assert rows[0][2]["normalized_variant"] == rows[1][2]["normalized_variant"]
+
+    def test_report_inside_guard_band_exits_2(self, capsys):
+        omega2 = repr(3.721 * (1 + 1e-14))
+        code, out, err = run(capsys, ["report", *POINT, "--omega2-ghz", omega2,
+                                      "--lambda-ghz", "0.2"])
+        assert code == 2
+        assert out == ""
+        assert "closed form is singular" in err
+
+    def test_sweep_ignores_fixed_omega2(self, capsys):
+        grid = ["--omega2-min-ghz", "3.73", "--omega2-max-ghz", "4.5", "--steps", "3"]
+        code, out, _ = run(capsys, [*SWEEP_BASE, "--omega2-ghz", "3.721", *grid])
+        assert code == 0
+        assert out == run(capsys, [*SWEEP_BASE, *grid])[1]

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dle3q import (NormalizationError, SingularityError, SystemParams,
-                   concurrence_mixed, concurrence_pair_general,
-                   conditional_concurrence, conditional_state,
-                   conditional_tangle, entanglement_report, monogamy_residual,
-                   residual_tangle_general)
-from dle3q.entangle import concurrence_formula_path
+                   amplitude_closed_form, concurrence_mixed,
+                   concurrence_pair_general, entanglement_report,
+                   guard_detuning, monogamy_residual, normalized_sectors,
+                   residual_tangle_general, sector_measures, symmetric_sector)
 
 GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2)
 W_STATE = np.zeros(8)
@@ -53,34 +52,51 @@ class TestResidualTangleGeneral:
                 assert residual_tangle_general(permuted) == pytest.approx(base, rel=1e-10, abs=1e-12)
 
 
+def evaluate(p: SystemParams):
+    return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+
+
+def closed_form_sector(n, p):
+    """The eight coefficients a_ijk = A(n; i+j+k) as plain Python complex numbers."""
+    return [complex(amplitude_closed_form(n, bin(bits).count("1"), p)) for bits in range(8)]
+
+
 class TestConditionalTangle:
     def test_paper_value(self, paper_params):
-        assert conditional_tangle(2, paper_params) == pytest.approx(5.621236116202375e-08, rel=1e-12)
+        tau = evaluate(paper_params).sectors.tau_abc
+        assert tau[2] == pytest.approx(5.621236116202375e-08, rel=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
     def test_zero_outside_two_photons(self, paper_params, n):
-        assert conditional_tangle(n, paper_params) == 0.0
+        if n <= 2:
+            assert evaluate(paper_params).sectors.tau_abc[n] == 0.0
+        else:  # the table stops at n = 2 because every higher sector vanishes
+            assert residual_tangle_general(closed_form_sector(n, paper_params)) == 0.0
 
     def test_closed_form_equals_general_route(self):
         for omega2 in (3.0, 3.7, 3.73, 3.9, 4.5, 7.0):
             p = SystemParams(5.0, omega2, 3.721, 0.17)
+            tau = evaluate(p).sectors.tau_abc
             for n in (0, 1, 2):
-                general = residual_tangle_general(conditional_state(n, p).a)
-                assert conditional_tangle(n, p) == pytest.approx(general, rel=1e-12, abs=1e-300)
+                general = residual_tangle_general(closed_form_sector(n, p))
+                assert tau[n] == pytest.approx(general, rel=1e-12, abs=1e-300)
 
     def test_monotone_toward_resonance(self):
         # tau grows as omega2 approaches E0, on either side
-        above = [conditional_tangle(2, SystemParams(5.0, w2, 3.721, 0.2))
-                 for w2 in (3.73, 3.8, 4.0, 4.5)]
-        assert all(a > b for a, b in zip(above, above[1:]))
-        below = [conditional_tangle(2, SystemParams(5.0, w2, 3.721, 0.2))
-                 for w2 in (3.0, 3.4, 3.6, 3.71)]
-        assert all(a < b for a, b in zip(below, below[1:]))
+        above = entanglement_report(5.0, np.array([3.73, 3.8, 4.0, 4.5]), 3.721, 0.2)
+        tau = above.sectors.tau_abc[:, 2]
+        assert (tau[:-1] > tau[1:]).all()
+        below = entanglement_report(5.0, np.array([3.0, 3.4, 3.6, 3.71]), 3.721, 0.2)
+        tau = below.sectors.tau_abc[:, 2]
+        assert (tau[:-1] < tau[1:]).all()
 
     def test_singularity_guard(self):
+        # the evaluator leaves the guard to its callers (amplitude_closed_form, report)
         p = SystemParams(5.0, 3.721 * (1 + 1e-14), 3.721, 0.2)
         with pytest.raises(SingularityError):
-            conditional_tangle(2, p)
+            guard_detuning(p.omega2, p.e0)
+        with pytest.raises(SingularityError):
+            amplitude_closed_form(2, 0, p)
 
 
 class TestPairConcurrence:
@@ -105,71 +121,65 @@ class TestPairConcurrence:
 
 class TestConditionalConcurrence:
     def test_paper_values(self, paper_params):
-        assert conditional_concurrence(0, True, paper_params) == pytest.approx(
-            0.2001158098927229, rel=1e-12)
-        assert conditional_concurrence(1, False, paper_params) == pytest.approx(
-            2.944557010226229e-05, rel=1e-12)
-        assert conditional_concurrence(2, False, paper_params) == pytest.approx(
-            2.33035409726501e-03, rel=1e-12)
-        assert conditional_concurrence(2, True, paper_params) == pytest.approx(
-            3.015226378471659e-06, rel=1e-12)
+        s = evaluate(paper_params).sectors
+        assert s.c_ab1[0] == pytest.approx(0.2001158098927229, rel=1e-12)
+        assert s.c_ab0[1] == pytest.approx(2.944557010226229e-05, rel=1e-12)
+        assert s.c_ab0[2] == pytest.approx(2.33035409726501e-03, rel=1e-12)
+        assert s.c_ab1[2] == pytest.approx(3.015226378471659e-06, rel=1e-12)
 
     @pytest.mark.parametrize("n,third_excited", [(0, False), (1, True), (3, False), (9, True)])
     def test_zero_entries(self, paper_params, n, third_excited):
-        assert conditional_concurrence(n, third_excited, paper_params) == 0.0
+        if n <= 2:
+            s = evaluate(paper_params).sectors
+            assert (s.c_ab1 if third_excited else s.c_ab0)[n] == 0.0
+        else:  # the table stops at n = 2 because every higher sector vanishes
+            a = closed_form_sector(n, paper_params)
+            quad = (a[1], a[3], a[5], a[7]) if third_excited else (a[0], a[2], a[4], a[6])
+            assert concurrence_pair_general(*quad) == 0.0
 
     def test_formula_path_matches_except_flagged_entry(self, paper_params):
+        s = evaluate(paper_params).sectors
         for n in (0, 1, 2):
-            table = conditional_concurrence(n, False, paper_params)
-            amps = conditional_state(n, paper_params)
-            formula = concurrence_pair_general(
-                amps.coefficient(0, 0, 0), amps.coefficient(1, 0, 0),
-                amps.coefficient(0, 1, 0), amps.coefficient(1, 1, 0))
-            assert formula == pytest.approx(table, rel=1e-12, abs=1e-300)
-        assert concurrence_formula_path(0, True, paper_params) == pytest.approx(
-            conditional_concurrence(0, True, paper_params), rel=1e-12)
-        assert concurrence_formula_path(1, True, paper_params) == 0.0
+            a = closed_form_sector(n, paper_params)
+            # coefficients a_ij0, i.e. a[000], a[100], a[010], a[110]
+            formula = concurrence_pair_general(a[0], a[4], a[2], a[6])
+            assert formula == pytest.approx(s.c_ab0[n], rel=1e-12, abs=1e-300)
+        assert s.c_ab1_formula_path[0] == pytest.approx(s.c_ab1[0], rel=1e-12)
+        assert s.c_ab1_formula_path[1] == 0.0
         # the documented factor-2 tension in the two-photon third-excited entry
-        assert concurrence_formula_path(2, True, paper_params) == pytest.approx(
-            2 * conditional_concurrence(2, True, paper_params), rel=1e-12)
+        assert s.c_ab1_formula_path[2] == pytest.approx(2 * s.c_ab1[2], rel=1e-12)
 
     def test_report_flags_only_that_entry(self, paper_params):
-        report = entanglement_report(paper_params)
-        assert [r.formula_path_mismatch for r in report.rows] == [False, False, True]
+        s = evaluate(paper_params).sectors
+        assert s.formula_path_mismatch.tolist() == [False, False, True]
 
     def test_report_normalized_variant_scaling(self, paper_params):
-        report = entanglement_report(paper_params)
-        for row in report.rows:
-            norm2 = conditional_state(row.n, paper_params).norm2()
-            assert row.normalized_variant.tau_abc == pytest.approx(
-                row.tau_abc / norm2 ** 2, rel=1e-12)
-            assert row.normalized_variant.c_ab1 == pytest.approx(
-                row.c_ab1 / norm2, rel=1e-12)
+        cf = evaluate(paper_params)
+        normalized = sector_measures(normalized_sectors(cf.amplitudes))
+        for n in (0, 1, 2):
+            norm2 = sum(abs(c) ** 2 for c in closed_form_sector(n, paper_params))
+            assert normalized.tau_abc[n] == pytest.approx(
+                cf.sectors.tau_abc[n] / norm2 ** 2, rel=1e-12)
+            assert normalized.c_ab1[n] == pytest.approx(cf.sectors.c_ab1[n] / norm2, rel=1e-12)
 
     def test_complementarity_at_paper_point(self, paper_params):
         # the two-photon sector is pair-dominated, not three-way-dominated
-        assert conditional_tangle(2, paper_params) < conditional_concurrence(2, False, paper_params)
-
-    def test_report_csv_serialization(self, paper_params):
-        from dle3q.entangle import REPORT_CSV_COLUMNS, report_to_csv
-        text = report_to_csv(entanglement_report(paper_params))
-        lines = text.strip().split("\n")
-        assert lines[0] == ",".join(REPORT_CSV_COLUMNS)
-        assert len(lines) == 4  # header + n = 0, 1, 2
-        assert lines[1].startswith("0,0.000000000e+00")
+        s = evaluate(paper_params).sectors
+        assert s.tau_abc[2] < s.c_ab0[2]
 
 
 class TestConditionalStateMapping:
     def test_sector_contract(self, paper_params):
-        from dle3q import amplitude_closed_form
-        for n in (0, 1, 2, 3):
-            cs = conditional_state(n, paper_params)
-            assert cs.coefficient(0, 0, 0) == amplitude_closed_form(n, 0, paper_params)
-            for ijk in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-                assert cs.coefficient(*ijk) == amplitude_closed_form(n, 1, paper_params)
-            for ijk in [(1, 1, 0), (1, 0, 1), (0, 1, 1)]:
-                assert cs.coefficient(*ijk) == amplitude_closed_form(n, 2, paper_params)
-            assert cs.coefficient(1, 1, 1) == 0.0
+        coefficients = symmetric_sector(evaluate(paper_params).amplitudes)
+        for n in (0, 1, 2):
+            cs = [c[n] for c in coefficients]
+            assert cs[0b000] == amplitude_closed_form(n, 0, paper_params)
+            for bits in (0b100, 0b010, 0b001):
+                assert cs[bits] == amplitude_closed_form(n, 1, paper_params)
+            for bits in (0b110, 0b101, 0b011):
+                assert cs[bits] == amplitude_closed_form(n, 2, paper_params)
+            assert cs[0b111] == 0.0
+        assert all(amplitude_closed_form(3, m, paper_params) == 0.0 for m in range(4))
 
 
 class TestMixedConcurrence:

@@ -6,7 +6,7 @@ import pytest
 
 from dle3q import (BasisState, SystemParams, build_basis, hamiltonian_h0,
                    hamiltonian_total, hamiltonian_v, hamiltonian_v_rwa,
-                   index_of, matrix_csv, state_at)
+                   index_of, state_at)
 from dle3q.hilbert import StateVector, dimension
 
 
@@ -144,14 +144,3 @@ class TestHamiltonians:
                 mapping[i] = index_of(BasisState(s.photons, tuple(s.qubits[k] for k in perm)))
             assert np.array_equal(h, h[np.ix_(mapping, mapping)])
 
-
-class TestMatrixCsv:
-    def test_header_and_shape(self, p4):
-        text = matrix_csv(hamiltonian_h0(p4, 5.0), p4.nmax)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("0;000,0;001,0;010,0;011,0;100")
-        assert len(lines) == 1 + dimension(p4.nmax)
-
-    def test_shape_mismatch_rejected(self, p4):
-        with pytest.raises(ValueError):
-            matrix_csv(np.eye(3), p4.nmax)
