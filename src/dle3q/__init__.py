@@ -14,7 +14,7 @@ from .entangle import (ClosedForms, SectorMeasures, concurrence_mixed,
 from .errors import (DegeneracyAmbiguityError, NormalizationError,
                      ParameterDomainError, SingularityError,
                      SolverDiagnosticsError, TruncationHeadroomError)
-from .hilbert import (BasisState, StateVector, build_basis, dimension,
+from .hilbert import (BasisState, build_basis, dimension,
                       hamiltonian_h0, hamiltonian_total, hamiltonian_v,
                       hamiltonian_v_rwa, index_of, state_at)
 from .oracle import (DressedState, compare_with_closed_forms,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisState", "ClosedForms", "DegeneracyAmbiguityError", "DressedState",
     "LambShift", "NormalizationError", "ParameterDomainError", "SectorMeasures",
-    "SingularityError", "SolverDiagnosticsError", "StateVector", "SystemParams",
+    "SingularityError", "SolverDiagnosticsError", "SystemParams",
     "TruncationHeadroomError", "ValidityReport", "amplitude_closed_form",
     "amplitude_table", "amplitude_via_overlap", "build_basis",
     "compare_with_closed_forms", "concurrence_mixed", "concurrence_pair_general",

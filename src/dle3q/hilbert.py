@@ -76,62 +76,6 @@ def dimension(nmax: int) -> int:
     return 8 * (nmax + 1)
 
 
-class StateVector:
-    """Sparse complex amplitudes over BasisState keys.
-
-    Not necessarily normalized: first-order perturbed states are carried
-    unnormalized on purpose (norm^2 = 1 + O(lambda^2)).
-    """
-
-    def __init__(self, amplitudes: dict[BasisState, complex] | None = None):
-        self._amp: dict[BasisState, complex] = dict(amplitudes or {})
-
-    def add(self, state: BasisState, coef: complex) -> None:
-        self._amp[state] = self._amp.get(state, 0.0) + coef
-
-    def __getitem__(self, state: BasisState) -> complex:
-        return self._amp.get(state, 0.0)
-
-    def __len__(self) -> int:
-        return len(self._amp)
-
-    def items(self):
-        return self._amp.items()
-
-    def support(self) -> list[BasisState]:
-        return sorted(self._amp)
-
-    def norm2(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self._amp.values()))
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm2())
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>; conjugation acts on self."""
-        if len(other) < len(self._amp):
-            return complex(sum(self[s].conjugate() * c for s, c in other.items()))
-        return complex(sum(c.conjugate() * other[s] for s, c in self.items()))
-
-    def to_array(self, nmax: int) -> np.ndarray:
-        vec = np.zeros(dimension(nmax), dtype=complex)
-        for s, c in self._amp.items():
-            vec[index_of(s)] = c
-        return vec
-
-    @classmethod
-    def from_array(cls, vec: np.ndarray, tol: float = 0.0) -> "StateVector":
-        out = cls()
-        for i, c in enumerate(vec):
-            if abs(c) > tol:
-                out.add(state_at(i), complex(c))
-        return out
-
-    def __str__(self) -> str:
-        parts = [f"({self._amp[s]:+.6g}) x |{s.label}>" for s in self.support()]
-        return "\n".join(parts) if parts else "0"
-
-
 def hamiltonian_h0(p: SystemParams, omega: float) -> np.ndarray:
     """Non-interacting Hamiltonian: n*omega + E0 * excitation count, diagonal."""
     if omega <= 0:

@@ -18,14 +18,16 @@ into two halves of 2*(nmax+1) states.  Only the block holding the requested
 label is diagonalized, and every eigendecomposition must pass the Gram and
 reconstruction residual checks.  Dressed states are matched inside their
 block, which keeps the assignment deterministic inside otherwise-degenerate
-excitation classes.  Sudden overlaps are divided by sqrt(multiplicity) of
+excitation classes, and are returned as Dicke-basis vectors that are zero
+outside that block.  Sudden overlaps are divided by sqrt(multiplicity) of
 the target class so they are quoted per target configuration, matching the
 closed-form convention.
 
-The product-space Hamiltonian (hilbert.hamiltonian_total), its full
-eigendecomposition (diagonalize_total) and the projection onto the
-symmetric sector (symmetrizer) are kept as the independent cross-check the
-tests compare the block solve against.
+symmetrizer is the one map from the Dicke basis onto the product basis:
+symmetrizer(nmax) @ vector gives a dressed state's product-space
+coefficients.  It, the product-space Hamiltonian (hilbert.hamiltonian_total)
+and its full eigendecomposition (diagonalize_total) are kept as the
+independent cross-check the tests compare the block solve against.
 
 Defaults diagonalize H0 + V only (the counter-rotating coupling that drives
 the switch transitions); include_rwa=True adds the rotating part.  Both are
@@ -45,23 +47,20 @@ lambda -> 0, and it is the gated channel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .amplitudes import CLASS_REPRESENTATIVE, DLE_CHANNELS, amplitude_closed_form
-from .errors import (DegeneracyAmbiguityError, SolverDiagnosticsError,
-                     TruncationHeadroomError)
-from .hilbert import (BasisState, StateVector, build_basis, dimension,
-                      hamiltonian_total, index_of)
+from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
+                     SolverDiagnosticsError, TruncationHeadroomError)
+from .hilbert import BasisState, build_basis, dimension, hamiltonian_total, index_of
 from .params import SystemParams
 
 #: Size of each excitation class, binom(3, m).
 CLASS_MULTIPLICITY = (1, 3, 3, 1)
-
-#: Qubit bit patterns (q1 most significant) of the product states in class m.
-CLASS_BITS = ((0,), (1, 2, 4), (3, 5, 6), (7,))
 
 #: Minimum photon headroom between a dressed label and the cutoff.
 HEADROOM = 4
@@ -72,16 +71,19 @@ MIN_LABEL_OVERLAP = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class DressedState:
-    """Eigenstate continuously connected to an unperturbed product label."""
+    """Eigenstate continuously connected to an unperturbed product label.
+
+    vector holds the Dicke-basis coefficients: length 4*(nmax+1), row
+    4*n + m, unit norm, zero outside the label's conserved-quantity block,
+    and positive at the label's row.  symmetrizer(nmax) @ vector gives
+    the product-space state.
+    """
 
     label: BasisState
     omega: float
     eigenvalue: float
-    vector: np.ndarray  # full-basis coefficients, unit norm, label component > 0
+    vector: np.ndarray
     overlap_with_label: float
-
-    def state_vector(self, tol: float = 0.0) -> StateVector:
-        return StateVector.from_array(self.vector, tol=tol)
 
 
 def symmetrizer(nmax: int) -> np.ndarray:
@@ -170,18 +172,6 @@ def _symmetric_eig(omega: float, e0: float, lam: float, nmax: int,
     return w, v, rows
 
 
-def _product_vector(vec: np.ndarray, rows: np.ndarray, nmax: int) -> np.ndarray:
-    """Scatter Dicke-basis coefficients onto the product states of each class."""
-    out = np.zeros(dimension(nmax))
-    n, m = np.divmod(rows, 4)
-    for mm, bits in enumerate(CLASS_BITS):
-        sel = m == mm
-        coef = vec[sel] / math.sqrt(CLASS_MULTIPLICITY[mm])
-        for b in bits:
-            out[8 * n[sel] + b] = coef
-    return out
-
-
 def dressed_state(label: BasisState, p: SystemParams, omega: float,
                   include_rwa: bool = False) -> DressedState:
     """Symmetric-sector eigenvector dominated by the label's excitation class.
@@ -213,12 +203,13 @@ def dressed_state(label: BasisState, p: SystemParams, omega: float,
         raise DegeneracyAmbiguityError(
             f"best overlap {overlaps[best]:.4f} with |{label.label}> is not dominant "
             f"(needs > {MIN_LABEL_OVERLAP:.4f}); state has lost its label character")
-    vec = v[:, best] * np.sign(v[target, best])
+    vector = np.zeros(4 * (p.nmax + 1))
+    vector[rows] = v[:, best] * np.sign(v[target, best])
     return DressedState(
         label=label,
         omega=omega,
         eigenvalue=float(w[best]),
-        vector=_product_vector(vec, rows, p.nmax),
+        vector=vector,
         overlap_with_label=float(overlaps[best]),
     )
 
@@ -228,8 +219,11 @@ def sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool = False) -
 
     Overlap of the dressed (n, m)-class state at omega2 with the dressed
     ground state at omega1, divided by sqrt(binom(3, m)) so that it is
-    quoted per product target like the closed forms.
+    quoted per product target like the closed forms.  A target in another
+    conserved-quantity block than the ground state overlaps it exactly 0.
     """
+    if n < 0 or not 0 <= m <= 3:
+        raise ParameterDomainError(f"invalid channel (n={n}, m={m})")
     ground = dressed_state(BasisState(0, (0, 0, 0)), p, p.omega1, include_rwa)
     target = dressed_state(BasisState(n, CLASS_REPRESENTATIVE[m]), p, p.omega2, include_rwa)
     raw = float(target.vector @ ground.vector)
@@ -268,16 +262,17 @@ def convergence_study(p: SystemParams, nmax_list: list[int],
     relative (values below 1e-14 count as converged zeros) and monotone
     reports whether |successive difference| never grew along the list.
     """
-    if list(nmax_list) != sorted(nmax_list) or len(nmax_list) < 2:
+    nmax_list = [operator.index(nm) for nm in nmax_list]
+    if nmax_list != sorted(nmax_list) or len(nmax_list) < 2:
         raise ValueError("nmax_list must be ascending with at least two entries")
     rows = []
     values: dict[tuple[int, int], list[float]] = {ch: [] for ch in channels}
     for nm in nmax_list:
-        p_nm = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_, nmax=int(nm))
+        p_nm = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_, nmax=nm)
         for ch in channels:
             val = sudden_overlap(ch[0], ch[1], p_nm, include_rwa=include_rwa)
             values[ch].append(val)
-            rows.append({"nmax": int(nm), "channel_n": ch[0], "channel_m": ch[1],
+            rows.append({"nmax": nm, "channel_n": ch[0], "channel_m": ch[1],
                          "value": val})
     summary = {}
     for ch, vals in values.items():
@@ -298,9 +293,9 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     at coupling scale * lambda, with their relative deviation.
     """
     if any(s <= 0 for s in lambda_scales):
-        raise ValueError("lambda scales must be positive")
+        raise ParameterDomainError("lambda scales must be positive")
     if list(lambda_scales) != sorted(lambda_scales, reverse=True):
-        raise ValueError("lambda scales must descend, e.g. 1, 0.5, 0.25")
+        raise ParameterDomainError("lambda scales must descend, e.g. 1, 0.5, 0.25")
     rows = []
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)

@@ -37,8 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TruncationHeadroomError
-from .hilbert import BasisState, QUBIT_BITS, StateVector
+from .hilbert import BasisState, QUBIT_BITS, dimension, index_of
 from .params import SystemParams, guard_detuning
 
 
@@ -95,11 +97,13 @@ def energy_second_order(s: BasisState, omega: float, p: SystemParams) -> float:
     return energy_unperturbed(s, omega, p.e0) + dynamic + lamb_shift(m, omega, p).value
 
 
-def perturbed_state(s: BasisState, omega: float, p: SystemParams) -> StateVector:
+def perturbed_state(s: BasisState, omega: float, p: SystemParams) -> np.ndarray:
     """First-order perturbed state of s, unnormalized, support <= 7 states.
 
-    Every admixed state differs from s by exactly one qubit flip and one
-    photon.  Requires n+1 <= nmax so the upper sidebands exist in truncation.
+    Returns the dense real product-space coefficients, length
+    dimension(nmax), indexed by hilbert.index_of.  Every admixed state
+    differs from s by exactly one qubit flip and one photon.  Requires
+    n+1 <= nmax so the upper sidebands exist in truncation.
     """
     n = s.photons
     if n + 1 > p.nmax:
@@ -112,15 +116,17 @@ def perturbed_state(s: BasisState, omega: float, p: SystemParams) -> StateVector
     lam = p.lambda_
     sum_den = omega + p.e0
     diff_den = omega - p.e0
-    out = StateVector({s: 1.0 + 0.0j})
+    out = np.zeros(dimension(p.nmax))
+    out[index_of(s)] = 1.0
     bits = s.qubit_bits
+    up, down = 8 * (n + 1), 8 * (n - 1)  # index_of(|n +- 1; 000>)
     for b in QUBIT_BITS:
         if not bits & b:
-            out.add(BasisState.from_bits(n + 1, bits | b), -lam * math.sqrt(n + 1) / sum_den)
+            out[up + (bits | b)] = -lam * math.sqrt(n + 1) / sum_den
             if n >= 1:
-                out.add(BasisState.from_bits(n - 1, bits | b), lam * math.sqrt(n) / diff_den)
+                out[down + (bits | b)] = lam * math.sqrt(n) / diff_den
         else:
             if n >= 1:
-                out.add(BasisState.from_bits(n - 1, bits & ~b), lam * math.sqrt(n) / sum_den)
-            out.add(BasisState.from_bits(n + 1, bits & ~b), -lam * math.sqrt(n + 1) / diff_den)
+                out[down + (bits & ~b)] = lam * math.sqrt(n) / sum_den
+            out[up + (bits & ~b)] = -lam * math.sqrt(n + 1) / diff_den
     return out

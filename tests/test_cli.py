@@ -202,6 +202,14 @@ class TestValidate:
         assert code == 2
         assert "lambda-scales" in err
 
+    @pytest.mark.parametrize("scales", ["1,-1", "1,0"])
+    def test_nonpositive_scales_exit_2(self, capsys, scales):
+        # exit 1 is reserved for a failed gate
+        code, out, err = run(capsys, [*VALIDATE_BASE, "--lambda-scales", scales])
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda scales must be positive\n"
+
     def test_vanishing_closed_form_fails_gate(self, capsys):
         # omega2 = omega1 makes the gated channel's closed form zero; the
         # deviation is undefined there and the gate must refuse to pass

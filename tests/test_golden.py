@@ -1,10 +1,13 @@
 """CLI stdout compared byte for byte with committed golden files.
 
 The report and sweep files were captured before the oracle moved to the
-Dicke-basis block solve and must never change. The validate files were
-captured with the block solve; they differ from the earlier product-space
-projection only in the H0+V (2,0)/(0,2) oracle values (round-off below
-1e-18, now exactly 0) and in the tenth digit of a few rel_dev values.
+Dicke-basis block solve and must never change. The validate files were last
+captured once sudden overlaps became dot products of Dicke-basis vectors.
+Against the earlier product-space projection they differ only in the H0+V
+(2,0)/(0,2) oracle values (round-off below 1e-18, now exactly 0) and in the
+tenth digit of a few rel_dev values. Those digits are round-off: rel_dev
+divides a difference that cancels about six digits, and
+tests/test_oracle.py checks it against a 50-digit reference to 1e-8.
 
 To regenerate one after a deliberate output change, run the listed argv,
 e.g. ``python -m dle3q.cli report --omega1-ghz 5 ... > tests/golden/report_paper.json``.

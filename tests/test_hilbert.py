@@ -7,7 +7,7 @@ import pytest
 from dle3q import (BasisState, SystemParams, build_basis, hamiltonian_h0,
                    hamiltonian_total, hamiltonian_v, hamiltonian_v_rwa,
                    index_of, state_at)
-from dle3q.hilbert import StateVector, dimension
+from dle3q.hilbert import dimension
 
 
 def excitations(i: int) -> int:
@@ -37,24 +37,6 @@ class TestBasis:
             BasisState(-1, (0, 0, 0))
         with pytest.raises(ValueError):
             BasisState(0, (0, 2, 0))
-
-
-class TestStateVector:
-    def test_norm_and_inner(self):
-        v = StateVector({BasisState(0, (0, 0, 0)): 3.0, BasisState(1, (1, 0, 0)): 4.0j})
-        assert v.norm() == pytest.approx(5.0)
-        w = StateVector({BasisState(1, (1, 0, 0)): 2.0})
-        assert v.inner(w) == pytest.approx(-8.0j)  # conjugation on the bra side
-
-    def test_array_round_trip(self):
-        v = StateVector({BasisState(1, (0, 1, 0)): 1.5, BasisState(0, (1, 1, 1)): -0.5j})
-        back = StateVector.from_array(v.to_array(nmax=2))
-        assert back[BasisState(1, (0, 1, 0))] == 1.5
-        assert back[BasisState(0, (1, 1, 1))] == -0.5j
-
-    def test_printable_terms(self):
-        v = StateVector({BasisState(2, (1, 0, 1)): 0.25})
-        assert "|2;101>" in str(v)
 
 
 @pytest.fixture
