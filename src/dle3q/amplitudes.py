@@ -25,6 +25,7 @@ the quoted numbers.)
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -63,10 +64,21 @@ def amplitude_table(omega1, omega2, e0, lam) -> np.ndarray:
     return table
 
 
-def amplitude_closed_form(n: int, m: int, p: SystemParams) -> float:
-    """Closed-form switch amplitude A(n; m); zero outside the four channels."""
+def _channel(n: int, m: int) -> tuple[int, int]:
+    """(n, m) as Python ints, checked to name a channel: n >= 0 and 0 <= m <= 3."""
+    try:
+        n, m = operator.index(n), operator.index(m)
+    except TypeError:
+        raise ParameterDomainError(
+            f"invalid channel (n={n!r}, m={m!r}): n and m must be integers") from None
     if n < 0 or not 0 <= m <= 3:
         raise ParameterDomainError(f"invalid channel (n={n}, m={m})")
+    return n, m
+
+
+def amplitude_closed_form(n: int, m: int, p: SystemParams) -> float:
+    """Closed-form switch amplitude A(n; m); zero outside the four channels."""
+    n, m = _channel(n, m)
     if (n, m) in ((2, 0), (0, 2)):
         guard_detuning(p.omega2, p.e0)
     if n > 2:
@@ -83,6 +95,7 @@ def amplitude_via_overlap(n: int, m: int, p: SystemParams,
     survival channel (0, 0) the zeroth-order term is excluded so that only
     the switch-induced piece remains.
     """
+    n, m = _channel(n, m)
     if target is None:
         target = BasisState(n, CLASS_REPRESENTATIVE[m])
     if target.photons != n or target.excitation_count != m:

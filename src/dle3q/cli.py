@@ -18,7 +18,7 @@ from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SingularityError, SolverDiagnosticsError,
                      TruncationHeadroomError)
 from .params import SystemParams, guard_detuning
-from .serialize import csv_lines, json_dumps
+from .serialize import Table, csv_lines, json_dumps
 
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
 SWEEP_GUARD_BAND = 1e-6
@@ -69,13 +69,18 @@ SUMMARY_KEYS = ["w_1", "w_2", "tau_2", "c_0_ab1", "c_1_ab0", "c_2_ab0", "c_2_ab1
 SWEEP_COLUMNS = ["omega2", "w_0", *SUMMARY_KEYS, "perturbative_ok"]
 
 
-def _finite(name: str, values):
-    """values as Python scalars (nested lists for arrays), all of them finite."""
+def _require_finite(name: str, values) -> np.ndarray:
+    """values as an array, all of it finite."""
     values = np.asarray(values)
     if not np.isfinite(values).all():
         raise ParameterDomainError(
             f"{name} is not finite at these parameters (outside double-precision range)")
-    return values.tolist()
+    return values
+
+
+def _finite(name: str, values):
+    """values as Python scalars (nested lists for arrays), all of them finite."""
+    return _require_finite(name, values).tolist()
 
 
 def _headline(cf: entangle.ClosedForms) -> dict:
@@ -119,7 +124,7 @@ def _report_doc(p: SystemParams) -> dict:
     }
 
 
-#: Overflow surfaces as inf or nan, which _finite turns into exit code 2.
+#: Overflow surfaces as inf or nan, which _require_finite turns into exit code 2.
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -158,27 +163,25 @@ def _monotone_flags(omega2: np.ndarray, tau_2: np.ndarray, e0: float) -> dict:
     }
 
 
-def _sweep_table(p_base: SystemParams, omega2: np.ndarray):
-    """An iterator over the SWEEP_COLUMNS values of each grid point, and the monotone flags."""
+def _sweep_table(p_base: SystemParams, omega2: np.ndarray) -> tuple[Table, dict]:
+    """The SWEEP_COLUMNS of every grid point as one table, and the monotone flags."""
     cf = entangle.entanglement_report(p_base.omega1, omega2, p_base.e0, p_base.lambda_)
     columns = {"omega2": omega2, **_headline(cf),
                "perturbative_ok": cf.validity.perturbative_ok}
     flags = _monotone_flags(omega2, columns["tau_2"], p_base.e0)
-    return zip(*(_finite(key, columns[key]) for key in SWEEP_COLUMNS)), flags
+    return Table({key: _require_finite(key, columns[key]) for key in SWEEP_COLUMNS}), flags
 
 
 def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
                 skipped: int) -> tuple[str, dict]:
     """A sweep's stdout and its monotone flags.
 
-    The rows are freed when this returns, before the text is written out.
+    The evaluator's arrays are freed when this returns, before the text is written out.
     """
-    rows, flags = _sweep_table(p_base, omega2)
+    table, flags = _sweep_table(p_base, omega2)
     if fmt == "csv":
-        return csv_lines(SWEEP_COLUMNS, rows), flags
-    doc = {"inputs": p_base.to_flat_dict(),
-           "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
-           "skipped": skipped, **flags}
+        return csv_lines(SWEEP_COLUMNS, table), flags
+    doc = {"inputs": p_base.to_flat_dict(), "rows": table, "skipped": skipped, **flags}
     del doc["inputs"]["omega2_ghz"]  # swept, not a fixed input
     return json_dumps(doc), flags
 

@@ -53,7 +53,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import CLASS_REPRESENTATIVE, DLE_CHANNELS, amplitude_closed_form
+from .amplitudes import (CLASS_REPRESENTATIVE, DLE_CHANNELS, _channel,
+                         amplitude_closed_form)
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SolverDiagnosticsError, TruncationHeadroomError)
 from .hilbert import BasisState, build_basis, dimension, hamiltonian_total, index_of
@@ -222,8 +223,7 @@ def sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool = False) -
     quoted per product target like the closed forms.  A target in another
     conserved-quantity block than the ground state overlaps it exactly 0.
     """
-    if n < 0 or not 0 <= m <= 3:
-        raise ParameterDomainError(f"invalid channel (n={n}, m={m})")
+    n, m = _channel(n, m)
     ground = dressed_state(BasisState(0, (0, 0, 0)), p, p.omega1, include_rwa)
     target = dressed_state(BasisState(n, CLASS_REPRESENTATIVE[m]), p, p.omega2, include_rwa)
     raw = float(target.vector @ ground.vector)

@@ -6,6 +6,7 @@ from dle3q import (BasisState, ParameterDomainError, SingularityError,
                    amplitude_via_overlap, entanglement_report)
 from dle3q.amplitudes import DLE_CHANNELS
 from dle3q.cli import _report_doc
+from dle3q.oracle import sudden_overlap
 
 
 def evaluate(p: SystemParams):
@@ -58,6 +59,26 @@ class TestClosedForms:
             amplitude_closed_form(-1, 0, paper_params)
         with pytest.raises(ParameterDomainError):
             amplitude_closed_form(0, 4, paper_params)
+
+
+CHANNEL_ROUTES = {"closed_form": amplitude_closed_form, "via_overlap": amplitude_via_overlap,
+                  "sudden_overlap": sudden_overlap}
+
+
+@pytest.mark.parametrize("route", list(CHANNEL_ROUTES))
+@pytest.mark.parametrize("channel", [(1.5, 1), (1, 1.0), (np.float64(2.0), 0), ("1", 1),
+                                     (None, 2)])
+def test_non_integer_channel_rejected(route, channel):
+    p = SystemParams(5.0, 4.5, 3.721, 0.02)
+    with pytest.raises(ParameterDomainError, match="n and m must be integers"):
+        CHANNEL_ROUTES[route](*channel, p)
+
+
+@pytest.mark.parametrize("route", list(CHANNEL_ROUTES))
+def test_numpy_integer_channel_accepted(route):
+    p = SystemParams(5.0, 4.5, 3.721, 0.02)
+    route = CHANNEL_ROUTES[route]
+    assert route(np.int64(1), np.int8(1), p) == route(1, 1, p)
 
 
 class TestOverlapRoute:

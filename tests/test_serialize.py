@@ -1,0 +1,133 @@
+"""The column-table path of the serializer against the generic row-dict path.
+
+The list of row dicts stays here as the reference: a Table must serialize to
+exactly the bytes the generic emitter writes for the equivalent rows.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dle3q.serialize import Table, csv_lines, json_dumps
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]),
+)
+names = st.text(alphabet="abz_%", min_size=1, max_size=6)
+
+
+@st.composite
+def tables(draw):
+    """A Table of 0-50 rows (1-4 float columns and one bool column) and its row dicts."""
+    nrows = draw(st.integers(min_value=0, max_value=50))
+    float_names = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    flag_name = draw(names.filter(lambda name: name not in float_names))
+    columns = {name: np.array(draw(st.lists(finite_floats, min_size=nrows, max_size=nrows)),
+                              dtype=float)
+               for name in float_names}
+    columns[flag_name] = np.array(draw(st.lists(st.booleans(), min_size=nrows,
+                                                max_size=nrows)), dtype=bool)
+    rows = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
+    return Table(columns), rows
+
+
+def nest(node, depth: int):
+    for level in range(depth):
+        node = {f"level{level}": node, "after": 1}
+    return node
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tables(), depth=st.integers(min_value=0, max_value=3))
+def test_json_table_equals_row_dicts(case, depth):
+    table, rows = case
+    assert json_dumps(nest(table, depth)) == json_dumps(nest(rows, depth))
+    assert json_dumps([table, table]) == json_dumps([rows, rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tables())
+def test_csv_table_equals_row_lists(case):
+    table, rows = case
+    header = list(table.columns)
+    assert csv_lines(header, table) == csv_lines(header, [list(r.values()) for r in rows])
+    # the header picks the columns and their order
+    header.reverse()
+    assert csv_lines(header, table) == csv_lines(header, [[r[h] for h in header] for r in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tables().filter(lambda case: case[1]), data=st.data(),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_value_raises(case, data, bad):
+    table, rows = case
+    float_names = [name for name, v in table.columns.items() if v.dtype.kind == "f"]
+    name = data.draw(st.sampled_from(float_names))
+    row = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    table.columns[name][row] = bad
+    with pytest.raises(ValueError, match="refusing to serialize non-finite value"):
+        json_dumps({"rows": table})
+    with pytest.raises(ValueError, match="refusing to serialize non-finite value"):
+        csv_lines(list(table.columns), table)
+
+
+def sample_table() -> Table:
+    return Table({"x": np.array([1.5, -0.0]), "ok": np.array([True, False])})
+
+
+def test_table_at_depth_1():
+    assert json_dumps({"rows": sample_table(), "n": 2}) == (
+        '{\n'
+        '  "rows": [\n'
+        '    {\n'
+        '      "x": 1.500000000e+00,\n'
+        '      "ok": true\n'
+        '    },\n'
+        '    {\n'
+        '      "x": 0.000000000e+00,\n'
+        '      "ok": false\n'
+        '    }\n'
+        '  ],\n'
+        '  "n": 2\n'
+        '}\n')
+
+
+def test_table_at_depth_2():
+    assert json_dumps({"outer": {"rows": sample_table()}}) == (
+        '{\n'
+        '  "outer": {\n'
+        '    "rows": [\n'
+        '      {\n'
+        '        "x": 1.500000000e+00,\n'
+        '        "ok": true\n'
+        '      },\n'
+        '      {\n'
+        '        "x": 0.000000000e+00,\n'
+        '        "ok": false\n'
+        '      }\n'
+        '    ]\n'
+        '  }\n'
+        '}\n')
+
+
+def test_empty_table():
+    table = Table({"x": np.array([]), "ok": np.array([], dtype=bool)})
+    assert json_dumps({"rows": table}) == '{\n  "rows": []\n}\n'
+    assert csv_lines(["x", "ok"], table) == "x,ok\n"
+
+
+@pytest.mark.parametrize("columns", [
+    {},
+    {"x": np.zeros(3), "y": np.zeros(2)},
+    {"x": np.zeros((2, 2))},
+])
+def test_malformed_table_rejected(columns):
+    with pytest.raises(ValueError):
+        Table(columns)
+
+
+def test_unsupported_dtype_rejected():
+    with pytest.raises(TypeError, match="unsupported column dtype"):
+        json_dumps(Table({"n": np.arange(3)}))
