@@ -12,7 +12,9 @@ first-order dressed ground state at omega1.  Only four channels survive:
 
 and every other (n, m) vanishes, including all m = 3.  Amplitudes are quoted
 per target configuration; the three targets within an excitation class give
-identical values.
+identical values.  The tests rebuild each value from those first-order
+overlaps in the product basis (tests/reference.py), an independent route
+to the table.
 
 Convention: the (0, 0) survival overlap (which is ~1) is not an excitation
 amplitude; the closed-form channel set carries only the switch-induced
@@ -30,15 +32,10 @@ import operator
 import numpy as np
 
 from .errors import ParameterDomainError
-from .hilbert import BasisState
 from .params import SystemParams, guard_detuning
-from .perturb import perturbed_state
 
 #: The only (n, m) channels with nonzero switch amplitude.
 DLE_CHANNELS = ((2, 0), (1, 1), (0, 2), (2, 2))
-
-#: Representative target configuration for each qubit excitation count.
-CLASS_REPRESENTATIVE = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 1, 0), 3: (1, 1, 1)}
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -85,24 +82,3 @@ def amplitude_closed_form(n: int, m: int, p: SystemParams) -> float:
         return 0.0
     return float(amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)[n, m])
 
-
-def amplitude_via_overlap(n: int, m: int, p: SystemParams,
-                          target: BasisState | None = None) -> float:
-    """Switch amplitude from first-order state overlaps, one target label.
-
-    Independent route to the closed forms: builds the first-order states at
-    both frequencies and takes <target, omega2 | ground, omega1>.  For the
-    survival channel (0, 0) the zeroth-order term is excluded so that only
-    the switch-induced piece remains.
-    """
-    n, m = _channel(n, m)
-    if target is None:
-        target = BasisState(n, CLASS_REPRESENTATIVE[m])
-    if target.photons != n or target.excitation_count != m:
-        raise ParameterDomainError(f"target {target.label} is not in channel ({n}, {m})")
-    bra = perturbed_state(target, p.omega2, p)
-    ket = perturbed_state(BasisState(0, (0, 0, 0)), p.omega1, p)
-    value = float(bra @ ket)
-    if (n, m) == (0, 0):
-        value -= 1.0  # remove the zeroth-order survival term
-    return value

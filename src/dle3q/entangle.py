@@ -146,7 +146,7 @@ def normalized_sectors(table) -> np.ndarray:
     return np.divide(unit, norm, out=unit, where=norm > 0)
 
 
-def entanglement_report(omega1, omega2, e0, lam, threshold: float = 0.5) -> ClosedForms:
+def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
     """Amplitudes, probabilities, sector measures and validity ratios over arrays.
 
     The four frequencies broadcast against each other as in amplitude_table;
@@ -161,7 +161,7 @@ def entanglement_report(omega1, omega2, e0, lam, threshold: float = 0.5) -> Clos
     return ClosedForms(amplitudes=table, w=w,
                        product_gap=w[..., 2] - w[..., 1] ** 2,
                        sectors=sector_measures(table),
-                       validity=validate_params(point, threshold))
+                       validity=validate_params(point))
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:

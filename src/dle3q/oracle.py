@@ -23,11 +23,10 @@ outside that block.  Sudden overlaps are divided by sqrt(multiplicity) of
 the target class so they are quoted per target configuration, matching the
 closed-form convention.
 
-symmetrizer is the one map from the Dicke basis onto the product basis:
-symmetrizer(nmax) @ vector gives a dressed state's product-space
-coefficients.  It, the product-space Hamiltonian (hilbert.hamiltonian_total)
-and its full eigendecomposition (diagonalize_total) are kept as the
-independent cross-check the tests compare the block solve against.
+States are named by their Dicke label (n, m) alone.  The product-space
+Hamiltonian, its full eigendecomposition and the map from the Dicke basis
+onto the product basis live in tests/reference.py, the independent
+cross-check the tests compare the block solve against.
 
 Defaults diagonalize H0 + V only (the counter-rotating coupling that drives
 the switch transitions); include_rwa=True adds the rotating part.  Both are
@@ -53,11 +52,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import (CLASS_REPRESENTATIVE, DLE_CHANNELS, _channel,
-                         amplitude_closed_form)
+from .amplitudes import DLE_CHANNELS, _channel, amplitude_closed_form
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SolverDiagnosticsError, TruncationHeadroomError)
-from .hilbert import BasisState, build_basis, dimension, hamiltonian_total, index_of
 from .params import SystemParams
 
 #: Size of each excitation class, binom(3, m).
@@ -72,32 +69,16 @@ MIN_LABEL_OVERLAP = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class DressedState:
-    """Eigenstate continuously connected to an unperturbed product label.
+    """Eigenstate continuously connected to an unperturbed Dicke label (n, m).
 
     vector holds the Dicke-basis coefficients: length 4*(nmax+1), row
     4*n + m, unit norm, zero outside the label's conserved-quantity block,
-    and positive at the label's row.  symmetrizer(nmax) @ vector gives
-    the product-space state.
+    and positive at the label's row.
     """
 
-    label: BasisState
-    omega: float
     eigenvalue: float
     vector: np.ndarray
     overlap_with_label: float
-
-
-def symmetrizer(nmax: int) -> np.ndarray:
-    """Isometry from the (n, m) symmetric-sector basis into the full basis.
-
-    Column 4*n + m is the normalized uniform superposition of the
-    binom(3, m) product states with n photons and m excited qubits.
-    """
-    cols = np.zeros((dimension(nmax), 4 * (nmax + 1)))
-    for s in build_basis(nmax):
-        m = s.excitation_count
-        cols[index_of(s), 4 * s.photons + m] = 1.0 / math.sqrt(CLASS_MULTIPLICITY[m])
-    return cols
 
 
 def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,19 +100,6 @@ def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not recon <= 1e-9 * norm_h:
         raise SolverDiagnosticsError(f"reconstruction residual {recon:.3e} > 1e-9*|H|")
     return w, v
-
-
-def diagonalize_total(p: SystemParams, omega: float,
-                      include_rwa: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Full product-space eigendecomposition of H(omega), with accuracy checks.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Raises
-    SolverDiagnosticsError if the solver fails or the orthonormality /
-    reconstruction residuals exceed their bounds.
-    """
-    if dimension(p.nmax) > 10_000:
-        raise SolverDiagnosticsError(f"dimension {dimension(p.nmax)} exceeds the 1e4 limit")
-    return _eigh_checked(hamiltonian_total(p, omega, include_rwa=include_rwa))
 
 
 def _block_of(n, m, include_rwa: bool):
@@ -173,22 +141,24 @@ def _symmetric_eig(omega: float, e0: float, lam: float, nmax: int,
     return w, v, rows
 
 
-def dressed_state(label: BasisState, p: SystemParams, omega: float,
+def dressed_state(n: int, m: int, p: SystemParams, omega: float,
                   include_rwa: bool = False) -> DressedState:
-    """Symmetric-sector eigenvector dominated by the label's excitation class.
+    """Symmetric-sector eigenvector dominated by the Dicke state |n; m>.
 
-    Only the conserved-quantity block holding the label is diagonalized.  The
-    match maximizes |overlap| with the symmetrized representative of the
-    label's class within that block; it must be dominant (> 1/sqrt(2)) and
-    separated from the runner-up (0 in a one-state block) by at least 1e-6,
-    otherwise a DegeneracyAmbiguityError is raised.  The phase is fixed so the
-    label-class component is positive.
+    n photons, m of the three qubits excited; a non-integer label, n < 0 or
+    m outside 0..3 raises ParameterDomainError.  Only the conserved-quantity
+    block holding the label is diagonalized.  The match maximizes |overlap|
+    with the label's row within that block; it must be dominant
+    (> 1/sqrt(2)) and separated from the runner-up (0 in a one-state block)
+    by at least 1e-6, otherwise a DegeneracyAmbiguityError is raised.  The
+    phase is fixed so the label's component is positive.
     """
-    if label.photons > p.nmax - HEADROOM:
+    n, m = _channel(n, m)
+    label = f"|n={n}, m={m}>"
+    if n > p.nmax - HEADROOM:
         raise TruncationHeadroomError(
-            f"label |{label.label}> needs photon headroom: n <= nmax - {HEADROOM} "
+            f"label {label} needs photon headroom: n <= nmax - {HEADROOM} "
             f"= {p.nmax - HEADROOM}")
-    n, m = label.photons, label.excitation_count
     w, v, rows = _symmetric_eig(omega, p.e0, p.lambda_, p.nmax, include_rwa,
                                 _block_of(n, m, include_rwa))
     target = int(np.searchsorted(rows, 4 * n + m))
@@ -198,17 +168,15 @@ def dressed_state(label: BasisState, p: SystemParams, omega: float,
     runner_up = overlaps[order[1]] if order.size > 1 else 0.0
     if overlaps[best] - runner_up < 1e-6:
         raise DegeneracyAmbiguityError(
-            f"two eigenvectors match |{label.label}> equally well "
+            f"two eigenvectors match {label} equally well "
             f"({overlaps[best]:.6f} vs {runner_up:.6f}); near-crossing")
     if overlaps[best] <= MIN_LABEL_OVERLAP:
         raise DegeneracyAmbiguityError(
-            f"best overlap {overlaps[best]:.4f} with |{label.label}> is not dominant "
+            f"best overlap {overlaps[best]:.4f} with {label} is not dominant "
             f"(needs > {MIN_LABEL_OVERLAP:.4f}); state has lost its label character")
     vector = np.zeros(4 * (p.nmax + 1))
     vector[rows] = v[:, best] * np.sign(v[target, best])
     return DressedState(
-        label=label,
-        omega=omega,
         eigenvalue=float(w[best]),
         vector=vector,
         overlap_with_label=float(overlaps[best]),
@@ -223,9 +191,8 @@ def sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool = False) -
     quoted per product target like the closed forms.  A target in another
     conserved-quantity block than the ground state overlaps it exactly 0.
     """
-    n, m = _channel(n, m)
-    ground = dressed_state(BasisState(0, (0, 0, 0)), p, p.omega1, include_rwa)
-    target = dressed_state(BasisState(n, CLASS_REPRESENTATIVE[m]), p, p.omega2, include_rwa)
+    ground = dressed_state(0, 0, p, p.omega1, include_rwa)
+    target = dressed_state(n, m, p, p.omega2, include_rwa)
     raw = float(target.vector @ ground.vector)
     return raw / math.sqrt(CLASS_MULTIPLICITY[m])
 

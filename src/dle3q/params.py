@@ -21,6 +21,11 @@ JSON_KEYS = ("omega1_ghz", "omega2_ghz", "e0_ghz", "lambda_ghz", "nmax")
 #: evaluate (denominators omega - E0 and omega^2 - E0^2).
 SINGULARITY_GUARD = 1e-12
 
+#: Largest lambda/(omega +- E0) ratio that validate_params calls perturbative.
+#: The paper states no quantitative smallness criterion, so this is a
+#: tool-level choice.
+PERTURBATIVE_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -105,26 +110,24 @@ class ValidityReport:
         return (self.eta_sum1, self.eta_sum2, self.eta_diff1, self.eta_diff2)
 
 
-def validate_params(p: SystemParams, threshold: float = 0.5) -> ValidityReport:
+def validate_params(p: SystemParams) -> ValidityReport:
     """Report lambda/(omega +- E0) ratios; perturbative_ok iff all are below threshold.
 
-    p may also be any object whose omega1, omega2, e0 and lambda_ are numpy
-    arrays; the ratios and the flag are then elementwise.
+    The threshold is PERTURBATIVE_THRESHOLD.  p may also be any object whose
+    omega1, omega2, e0 and lambda_ are numpy arrays; the ratios and the flag
+    are then elementwise.
 
-    The paper states no quantitative smallness criterion, so the threshold is
-    a tool-level default.  Note the paper's own omega2 choice sits 0.029 GHz
-    from E0 and fails any reasonable threshold through eta_diff2; that is
-    deliberate near-resonant tuning, reported rather than rejected.
+    Note the paper's own omega2 choice sits 0.029 GHz from E0 and fails any
+    reasonable threshold through eta_diff2; that is deliberate near-resonant
+    tuning, reported rather than rejected.
     """
-    if not math.isfinite(threshold) or not 0.0 < threshold < 1.0:
-        raise ParameterDomainError(f"threshold must lie in (0, 1), got {threshold!r}")
     ratios = (
         p.lambda_ / (p.omega1 + p.e0),
         p.lambda_ / (p.omega2 + p.e0),
         p.lambda_ / abs(p.omega1 - p.e0),
         p.lambda_ / abs(p.omega2 - p.e0),
     )
-    ok = functools.reduce(operator.and_, (r < threshold for r in ratios))
+    ok = functools.reduce(operator.and_, (r < PERTURBATIVE_THRESHOLD for r in ratios))
     return ValidityReport(*ratios, perturbative_ok=ok)
 
 

@@ -18,12 +18,13 @@ import time
 import numpy as np
 import pytest
 
-from dle3q import (BasisState, SystemParams, amplitude_closed_form,
-                   compare_with_closed_forms, diagonalize_total, dressed_state,
-                   energy_second_order, entanglement_report, index_of,
-                   monogamy_residual, perturbed_state, residual_tangle_general,
-                   shrink_factors, symmetric_class_shift, symmetrizer)
+from dle3q import (SystemParams, amplitude_closed_form, compare_with_closed_forms,
+                   dressed_state, energy_second_order, entanglement_report,
+                   monogamy_residual, residual_tangle_general, shrink_factors,
+                   symmetric_class_shift)
 from dle3q.cli import main
+from reference import (BasisState, diagonalize_total, dicke, index_of, perturbed_state,
+                       symmetrizer)
 
 PAPER = SystemParams(omega1=5.0, omega2=3.75, e0=3.721, lambda_=0.2)
 
@@ -183,8 +184,8 @@ def _normalized_symmetric_first_order(labels):
 
 
 def test_criterion_9_ground_state_eigenvalue():
-    ds = dressed_state(GROUND, P9, P9.omega1, include_rwa=True)
-    diff = abs(ds.eigenvalue - energy_second_order(GROUND, P9.omega1, P9))
+    ds = dressed_state(*dicke(GROUND), P9, P9.omega1, include_rwa=True)
+    diff = abs(ds.eigenvalue - energy_second_order(*dicke(GROUND), P9.omega1, P9))
     report("9a (ground dressed eigenvalue vs second-order energy <= 1e-8 GHz)",
            diff <= 1e-8, f"diff = {diff:.2e} GHz")
 
@@ -200,12 +201,12 @@ def test_criterion_9_one_photon_class_eigenvalue():
     three full-basis eigenvalues with the most weight on the class product
     states (the class centroid) equals E.
     """
-    energy = energy_second_order(ONE_PHOTON, P9.omega1, P9)
+    energy = energy_second_order(*dicke(ONE_PHOTON), P9.omega1, P9)
     class_idx = [index_of(s) for s in ONE_PHOTON_CLASS]
     ok = True
     details = []
     for rwa, name in ((False, "V only"), (True, "with RWA")):
-        ds = dressed_state(ONE_PHOTON, P9, P9.omega1, include_rwa=rwa)
+        ds = dressed_state(*dicke(ONE_PHOTON), P9, P9.omega1, include_rwa=rwa)
         shift = symmetric_class_shift(1, P9.omega1, P9, include_rwa=rwa)
         symmetric_diff = abs(ds.eigenvalue - (energy + shift))
         w, v = diagonalize_total(P9, P9.omega1, include_rwa=rwa)
@@ -221,7 +222,7 @@ def test_criterion_9_one_photon_class_eigenvalue():
 
 
 def test_criterion_9_ground_state_vector():
-    ds = dressed_state(GROUND, P9, P9.omega1, include_rwa=True)
+    ds = dressed_state(*dicke(GROUND), P9, P9.omega1, include_rwa=True)
     vec = _normalized_symmetric_first_order([GROUND])
     diff = float(np.linalg.norm(symmetrizer(P9.nmax) @ ds.vector - vec))
     report("9c (ground perturbed state vs oracle eigenvector <= 1e-4)",
@@ -229,7 +230,7 @@ def test_criterion_9_ground_state_vector():
 
 
 def test_criterion_9_one_photon_class_vector():
-    ds = dressed_state(ONE_PHOTON, P9, P9.omega1, include_rwa=True)
+    ds = dressed_state(*dicke(ONE_PHOTON), P9, P9.omega1, include_rwa=True)
     vec = _normalized_symmetric_first_order(ONE_PHOTON_CLASS)
     diff = float(np.linalg.norm(symmetrizer(P9.nmax) @ ds.vector - vec))
     report("9d (one-photon-class perturbed state vs oracle eigenvector <= 1e-4)",

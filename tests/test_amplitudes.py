@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dle3q import (BasisState, ParameterDomainError, SingularityError,
-                   SystemParams, amplitude_closed_form, amplitude_table,
-                   amplitude_via_overlap, entanglement_report)
+from dle3q import (ParameterDomainError, SingularityError, SystemParams,
+                   amplitude_closed_form, amplitude_table, dressed_state,
+                   energy_second_order, entanglement_report)
 from dle3q.amplitudes import DLE_CHANNELS
 from dle3q.cli import _report_doc
 from dle3q.oracle import sudden_overlap
+from reference import BasisState, amplitude_via_overlap
 
 
 def evaluate(p: SystemParams):
@@ -61,8 +62,13 @@ class TestClosedForms:
             amplitude_closed_form(0, 4, paper_params)
 
 
-CHANNEL_ROUTES = {"closed_form": amplitude_closed_form, "via_overlap": amplitude_via_overlap,
-                  "sudden_overlap": sudden_overlap}
+#: Every entry point that takes an (n, m) label, as f(n, m, p) -> float.
+CHANNEL_ROUTES = {
+    "closed_form": amplitude_closed_form, "via_overlap": amplitude_via_overlap,
+    "sudden_overlap": sudden_overlap,
+    "dressed_state": lambda n, m, p: dressed_state(n, m, p, p.omega2).eigenvalue,
+    "energy_second_order": lambda n, m, p: energy_second_order(n, m, p.omega2, p),
+}
 
 
 @pytest.mark.parametrize("route", list(CHANNEL_ROUTES))
@@ -71,6 +77,14 @@ CHANNEL_ROUTES = {"closed_form": amplitude_closed_form, "via_overlap": amplitude
 def test_non_integer_channel_rejected(route, channel):
     p = SystemParams(5.0, 4.5, 3.721, 0.02)
     with pytest.raises(ParameterDomainError, match="n and m must be integers"):
+        CHANNEL_ROUTES[route](*channel, p)
+
+
+@pytest.mark.parametrize("route", list(CHANNEL_ROUTES))
+@pytest.mark.parametrize("channel", [(-1, 0), (0, 4), (0, -1)])
+def test_out_of_range_channel_rejected(route, channel):
+    p = SystemParams(5.0, 4.5, 3.721, 0.02)
+    with pytest.raises(ParameterDomainError, match="invalid channel"):
         CHANNEL_ROUTES[route](*channel, p)
 
 

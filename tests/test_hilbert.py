@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dle3q import (BasisState, SystemParams, build_basis, hamiltonian_h0,
-                   hamiltonian_total, hamiltonian_v, hamiltonian_v_rwa,
-                   index_of, state_at)
-from dle3q.hilbert import dimension
+from dle3q import SystemParams
+from reference import (BasisState, build_basis, dimension, hamiltonian_h0,
+                       hamiltonian_total, hamiltonian_v, hamiltonian_v_rwa,
+                       index_of, state_at)
 
 
 def excitations(i: int) -> int:

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dle3q import (BasisState, DegeneracyAmbiguityError, ParameterDomainError,
+from dle3q import (DegeneracyAmbiguityError, ParameterDomainError,
                    SolverDiagnosticsError, SystemParams, TruncationHeadroomError,
                    amplitude_closed_form, compare_with_closed_forms, convergence_study,
-                   diagonalize_total, dressed_state, energy_unperturbed,
-                   hamiltonian_total, sudden_overlap)
+                   dressed_state, sudden_overlap)
 from dle3q import oracle
-from dle3q.amplitudes import CLASS_REPRESENTATIVE, DLE_CHANNELS
+from dle3q.amplitudes import DLE_CHANNELS
 from dle3q.cli import main
-from dle3q.hilbert import build_basis, index_of
 from dle3q.oracle import (CLASS_MULTIPLICITY, _block_hamiltonian, _symmetric_eig,
-                          shrink_factors, symmetrizer)
+                          shrink_factors)
+from reference import (CLASS_REPRESENTATIVE, BasisState, build_basis, diagonalize_total,
+                       dicke, energy_unperturbed, hamiltonian_total, index_of,
+                       state_at, symmetrizer)
 
 W1, E0 = 5.0, 3.721
 
@@ -45,7 +46,6 @@ class TestDiagonalizeTotal:
         p = SystemParams(W1, 3.75, E0, 0.2, nmax=3)
         w, _ = diagonalize_total(p, omega=3.75)
         # conjugate by the (q1 <-> q3) relabeling permutation
-        from dle3q import hamiltonian_total, state_at
         h = hamiltonian_total(p, 3.75)
         perm = [index_of(BasisState(state_at(i).photons, state_at(i).qubits[::-1]))
                 for i in range(h.shape[0])]
@@ -53,7 +53,6 @@ class TestDiagonalizeTotal:
         assert np.allclose(w, w_perm, atol=1e-10)
 
     def test_dimension_cap(self):
-        from dle3q import SolverDiagnosticsError
         p = SystemParams(W1, 3.75, E0, 0.2, nmax=1300)
         with pytest.raises(SolverDiagnosticsError, match="dimension"):
             diagonalize_total(p, omega=W1)
@@ -116,13 +115,13 @@ class TestBlockSolve:
         s = symmetrizer(nmax)
         ground = BasisState(0, (0, 0, 0))
         g_val, g_vec = _reference_dressed(ground, p, omega1, rwa)
-        ds = dressed_state(ground, p, omega1, include_rwa=rwa)
+        ds = dressed_state(*dicke(ground), p, omega1, include_rwa=rwa)
         assert abs(ds.eigenvalue - g_val) <= 1e-10
         assert np.abs(s @ ds.vector - g_vec).max() <= 1e-10
         for n, m in DLE_CHANNELS:
             label = BasisState(n, CLASS_REPRESENTATIVE[m])
             t_val, t_vec = _reference_dressed(label, p, omega2, rwa)
-            ds = dressed_state(label, p, omega2, include_rwa=rwa)
+            ds = dressed_state(n, m, p, omega2, include_rwa=rwa)
             assert abs(ds.eigenvalue - t_val) <= 1e-10
             assert np.abs(s @ ds.vector - t_vec).max() <= 1e-10
             reference = float(t_vec @ g_vec) / math.sqrt(CLASS_MULTIPLICITY[m])
@@ -131,8 +130,7 @@ class TestBlockSolve:
     def test_cache_ignores_unused_frequencies(self):
         _symmetric_eig.cache_clear()
         for omega2 in (4.1, 4.3, 4.5):
-            dressed_state(BasisState(0, (0, 0, 0)), SystemParams(W1, omega2, E0, 0.01),
-                          omega=W1)
+            dressed_state(0, 0, SystemParams(W1, omega2, E0, 0.01), omega=W1)
         info = _symmetric_eig.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
@@ -161,8 +159,8 @@ class TestResidualChecks:
     def test_dressed_state_raises(self, corrupt_eigh, residual):
         corrupt_eigh(CORRUPTIONS[residual])
         with pytest.raises(SolverDiagnosticsError, match=residual):
-            dressed_state(BasisState(0, (0, 0, 0)), SystemParams(W1, 4.5, E0, 0.01),
-                          omega=W1, include_rwa=True)
+            dressed_state(0, 0, SystemParams(W1, 4.5, E0, 0.01), omega=W1,
+                          include_rwa=True)
 
     def test_diagonalize_total_raises(self, corrupt_eigh):
         corrupt_eigh(CORRUPTIONS["Gram"])
@@ -182,15 +180,14 @@ class TestResidualChecks:
 class TestDressedState:
     def test_vanishing_coupling_limits(self, tiny_coupling):
         label = BasisState(1, (1, 0, 0))
-        ds = dressed_state(label, tiny_coupling, omega=W1)
+        ds = dressed_state(*dicke(label), tiny_coupling, omega=W1)
         assert ds.eigenvalue == pytest.approx(energy_unperturbed(label, W1, E0), abs=1e-9)
         assert ds.overlap_with_label == pytest.approx(1.0, abs=1e-9)
         sym = sum(1 for x in symmetrizer(8) @ ds.vector if abs(x) > 1e-8)
         assert sym == 3  # the symmetric combination of the class
 
     def test_unit_norm_and_positive_phase(self, weak_params):
-        ds = dressed_state(BasisState(2, (1, 1, 0)), weak_params, omega=4.5,
-                           include_rwa=True)
+        ds = dressed_state(2, 2, weak_params, omega=4.5, include_rwa=True)
         vec = symmetrizer(weak_params.nmax) @ ds.vector
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert vec[index_of(BasisState(2, (1, 1, 0)))] > 0
@@ -199,13 +196,13 @@ class TestDressedState:
     def test_headroom_guard(self):
         p = SystemParams(W1, 3.75, E0, 0.2, nmax=2)
         with pytest.raises(TruncationHeadroomError):
-            dressed_state(BasisState(2, (0, 0, 0)), p, omega=W1)
+            dressed_state(2, 0, p, omega=W1)
 
     def test_lost_label_character_raises(self):
         # deep ultrastrong coupling: no eigenvector keeps a dominant label
         p = SystemParams(W1, 3.75, E0, 3.0, nmax=16)
         with pytest.raises(DegeneracyAmbiguityError):
-            dressed_state(BasisState(0, (1, 1, 0)), p, omega=3.75, include_rwa=True)
+            dressed_state(0, 2, p, omega=3.75, include_rwa=True)
 
 
 class TestSuddenOverlap:

@@ -1,13 +1,17 @@
 """The package's export list matches what its library modules define."""
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import dle3q
 
 #: Modules whose public API the package re-exports; cli and serialize are front ends.
-LIBRARY_MODULES = ("amplitudes", "entangle", "errors", "hilbert", "oracle", "params", "perturb")
+LIBRARY_MODULES = ("amplitudes", "entangle", "errors", "oracle", "params", "perturb")
 
 
 def test_every_export_resolves():
@@ -25,3 +29,16 @@ def test_public_definitions_are_exported(module_name):
     assert public
     missing = [name for name in public if name not in dle3q.__all__]
     assert not missing, f"dle3q.{module_name} defines {missing} but __all__ lacks them"
+
+
+def test_cli_loads_no_product_space():
+    # the product basis is a test-side reference; the package runs on Dicke labels
+    probe = ("import sys, dle3q, dle3q.cli\n"
+             "print('dle3q.hilbert' in sys.modules)\n"
+             "print(sorted(n for n in ('BasisState', 'symmetrizer', 'perturbed_state')"
+             " if hasattr(dle3q, n)))\n")
+    src = str(Path(dle3q.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == ["False", "[]"]

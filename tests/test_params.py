@@ -48,7 +48,7 @@ class TestSystemParams:
 
 class TestValidateParams:
     def test_paper_point_flagged_near_resonant(self, paper_params):
-        report = validate_params(paper_params, threshold=0.5)
+        report = validate_params(paper_params)
         # lambda / |omega2 - E0| = 0.2 / 0.029
         assert report.eta_diff2 == pytest.approx(6.896551724137931, rel=1e-12)
         assert not report.perturbative_ok
@@ -63,11 +63,6 @@ class TestValidateParams:
         half = validate_params(SystemParams(5.0, 4.5, 3.721, 0.05)).ratios()
         for b, h in zip(base, half):
             assert h == pytest.approx(b / 2, rel=1e-12)
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1, float("nan")])
-    def test_threshold_domain(self, paper_params, threshold):
-        with pytest.raises(ParameterDomainError):
-            validate_params(paper_params, threshold=threshold)
 
     @given(k=st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, k):
