@@ -191,10 +191,15 @@ def sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool = False) -
     quoted per product target like the closed forms.  A target in another
     conserved-quantity block than the ground state overlaps it exactly 0.
     """
-    ground = dressed_state(0, 0, p, p.omega1, include_rwa)
+    return _overlap_with_ground(dressed_state(0, 0, p, p.omega1, include_rwa), n, m, p,
+                                include_rwa)
+
+
+def _overlap_with_ground(ground: DressedState, n: int, m: int, p: SystemParams,
+                         include_rwa: bool) -> float:
+    """sudden_overlap(n, m, p, include_rwa), given its dressed ground state at omega1."""
     target = dressed_state(n, m, p, p.omega2, include_rwa)
-    raw = float(target.vector @ ground.vector)
-    return raw / math.sqrt(CLASS_MULTIPLICITY[m])
+    return float(target.vector @ ground.vector) / math.sqrt(CLASS_MULTIPLICITY[m])
 
 
 def symmetric_class_shift(m: int, omega: float, p: SystemParams,
@@ -266,9 +271,10 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     rows = []
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)
+        ground = dressed_state(0, 0, p_s, p_s.omega1, include_rwa)
         for ch in channels:
             closed = amplitude_closed_form(ch[0], ch[1], p_s)
-            orac = sudden_overlap(ch[0], ch[1], p_s, include_rwa=include_rwa)
+            orac = _overlap_with_ground(ground, ch[0], ch[1], p_s, include_rwa)
             # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)
             rel = abs(orac - closed) / abs(closed) if closed != 0.0 else None
             rows.append({

@@ -32,9 +32,11 @@ from .params import SystemParams, guard_detuning
 
 
 def lamb_shift(m: int, omega: float, p: SystemParams) -> float:
-    """Total Lamb shift of the m-excited class at cavity frequency omega."""
-    if m not in (0, 1, 2, 3):
-        raise ValueError(f"excitation count m must be 0..3, got {m}")
+    """Total Lamb shift of the m-excited class at cavity frequency omega.
+
+    Raises ParameterDomainError unless m is an integer in 0..3.
+    """
+    _, m = _channel(0, m)
     lam2 = p.lambda_ ** 2
     if m == 0:
         value = -3.0 * lam2 / (omega + p.e0)

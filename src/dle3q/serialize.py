@@ -1,16 +1,23 @@
 """Deterministic JSON / CSV emission.
 
 Floats are always printed in scientific notation with 10 significant digits
-so that identical inputs produce byte-identical output across runs.
+(``format_float``) so that identical inputs produce byte-identical output
+across runs.
 
 A ``Table`` of equal-length numpy columns (float or bool) is emitted without
-building a Python object per row. ``json_dumps`` accepts it anywhere in a
-document and writes it as the list of row objects the generic emitter would
-write at that depth; ``csv_lines`` accepts it as its rows. Each row goes
-through one ``%`` template built from the column names, the depth and the
-dtypes, so the checks ``format_float`` makes per value are made per column
-instead: ``np.isfinite`` must hold over every float column (the same
-``ValueError`` otherwise), and ``+ 0.0`` folds -0.0 to 0.0.
+building a Python object per row or per value. ``json_dumps`` accepts it
+anywhere in a document and writes it as the list of row objects the generic
+emitter would write at that depth; ``csv_lines`` accepts it as its rows. The
+whole table is built as one ``uint8`` matrix with one row per table row: the
+literal pieces between values (the JSON field prefixes, the CSV commas and
+newline) fill fixed columns, and each value fills a fixed-width slot of ASCII
+codes. Unused slot bytes are NUL, and one ``bytes.replace`` drops them.
+``_float_codes`` fills the float slots as a vectorized ``%.9e``; the few
+values it cannot round with certainty go through ``format_float``, so the
+bytes are those of the per-value emitter that ``report`` and ``validate``
+use. The checks ``format_float`` makes per value are made per column:
+``np.isfinite`` must hold over every float column (the same ``ValueError``
+otherwise), and -0.0 prints as 0.0.
 """
 from __future__ import annotations
 
@@ -58,34 +65,105 @@ class Table:
             raise ValueError(f"table columns must be 1-D and of equal length, got {shapes}")
 
 
-def _table_cells(columns) -> tuple[list[str], list[list]]:
-    """The % conversion and the Python values of each column, all checked."""
-    specs, cells = [], []
-    for values in columns:
-        values = np.asarray(values)
-        if values.dtype.kind == "b":
-            specs.append("%s")
-            cells.append(np.where(values, "true", "false").tolist())
-        elif values.dtype.kind == "f":
-            finite = np.isfinite(values)
-            if not finite.all():
-                bad = float(values[~finite][0])
-                raise ValueError(f"refusing to serialize non-finite value {bad!r}")
-            specs.append("%.9e")
-            cells.append((values + 0.0).tolist())  # + 0.0 folds -0.0
-        else:
-            raise TypeError(f"unsupported column dtype {values.dtype}")
-    return specs, cells
+#: Bytes in a float slot: sign, digit, '.', nine digits, 'e', exponent sign and 3 digits.
+_FLOAT_WIDTH = 17
+
+
+def _put_digits(q: np.ndarray, out: np.ndarray, places: tuple[int, ...]) -> None:
+    """Write the last len(places) decimal digits of q as ASCII into out[:, places]."""
+    for place in reversed(places):
+        rest = q // 10
+        out[:, place] = q - rest * 10 + ord("0")
+        q = rest
+
+
+def _float_codes(x: np.ndarray) -> np.ndarray:
+    """The ASCII codes of format_float(v) for every v of a finite 1-D float64 array.
+
+    Row i of the (len(x), 17) result holds the sign, first digit, '.', nine
+    digits, 'e', exponent sign and three exponent digits of x[i], with NUL
+    for a plus sign and for the hundreds digit of a two-digit exponent; or
+    format_float's text, padded with NUL.
+    """
+    a = np.abs(x)
+    nonzero = a > 0
+    # log10 can miss by one next to a power of ten, so e moves until
+    # s = a * 10**(9 - e) lies in [1e9, 1e10); a zero keeps e = 0.
+    e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
+    s = a * np.power(10.0, np.clip(9 - e, -300, 300))
+    e += (s >= 1e10).astype(np.int64) - ((s < 1e9) & nonzero)
+    k = 9 - e
+    s = a * np.power(10.0, np.clip(k, -300, 300))
+    d = np.rint(s)
+    carry = d >= 1e10
+    d[carry] = 1e9
+    e += carry
+    out = np.empty((x.size, _FLOAT_WIDTH), dtype=np.uint8)
+    out[:, 0] = np.where(x < 0, ord("-"), 0)
+    out[:, 2] = ord(".")
+    out[:, 12] = ord("e")
+    out[:, 13] = np.where(e < 0, ord("-"), ord("+"))
+    # the ten mantissa digits as two int32 halves of five
+    head = np.floor(d / 1e5)
+    _put_digits(head.astype(np.int32), out, (1, 3, 4, 5, 6))
+    _put_digits((d - head * 1e5).astype(np.int32), out, (7, 8, 9, 10, 11))
+    exponent = np.abs(e).astype(np.int32)
+    _put_digits(exponent, out, (14, 15, 16))
+    out[:, 14] *= exponent >= 100
+    # np.power is within 1 ulp of 10**k for |k| <= 300 and the product rounds
+    # once, so s is within a few ulp of the exact a * 10**k: under 1e-5 for
+    # s < 1e10. Where frac(s) is more than 1e-4 from 1/2, rint therefore
+    # rounds as %.9e rounds the exact value. Near-ties, and values whose
+    # 10**k is out of range (subnormals, extremes), go through format_float.
+    slow = np.flatnonzero((np.abs(s - np.floor(s) - 0.5) <= 1e-4) | (np.abs(k) > 300))
+    text = [format_float(v) for v in x[slow].tolist()]
+    out[slow] = np.array(text, dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(-1, _FLOAT_WIDTH)
+    return out
+
+
+def _cell_codes(values: np.ndarray) -> np.ndarray:
+    """The (rows, slot width) ASCII codes of one table column, checked."""
+    if values.dtype.kind == "b":
+        return np.frombuffer(b"false\0true", dtype=np.uint8).reshape(2, 5)[values.astype(np.intp)]
+    if values.dtype.kind == "f":
+        values = values.astype(np.float64, copy=False)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[~finite][0])
+            raise ValueError(f"refusing to serialize non-finite value {bad!r}")
+        return _float_codes(values)
+    raise TypeError(f"unsupported column dtype {values.dtype}")
+
+
+def _table_text(columns, pieces: list[str]) -> str:
+    """Every row as pieces[0], cell 0, pieces[1], ..., cell k-1, pieces[k], rows joined.
+
+    The rows are one uint8 matrix: every row starts as a copy of one template
+    row that holds the pieces and a NUL slot per cell, and each column's
+    codes then fill its slots. Dropping every NUL leaves the text.
+    """
+    if any("\0" in piece for piece in pieces):
+        raise ValueError("table column names must not contain NUL")
+    cells = [_cell_codes(np.asarray(values)) for values in columns]
+    template, slots = bytearray(pieces[0].encode()), []
+    for cell, piece in zip(cells, pieces[1:]):
+        slots.append(slice(len(template), len(template) + cell.shape[1]))
+        template += bytes(cell.shape[1]) + piece.encode()
+    matrix = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
+    matrix[:] = np.frombuffer(template, dtype=np.uint8)
+    for cell, slot in zip(cells, slots):
+        matrix[:, slot] = cell
+    return matrix.tobytes().replace(b"\0", b"").decode()
 
 
 def _json_table(table: Table, pad: str, child_pad: str, field_pad: str) -> str:
-    specs, cells = _table_cells(table.columns.values())
-    if not cells[0]:
-        return "[]"
-    fields = ",\n".join(f'{field_pad}"{name.replace("%", "%%")}": {spec}'
-                        for name, spec in zip(table.columns, specs))
-    template = f"{child_pad}{{\n{fields}\n{child_pad}}}"
-    return "[\n" + ",\n".join([template % row for row in zip(*cells)]) + "\n" + pad + "]"
+    first, *rest = table.columns
+    pieces = ([f'{child_pad}{{\n{field_pad}"{first}": ']
+              + [f',\n{field_pad}"{name}": ' for name in rest]
+              + [f"\n{child_pad}}},\n"])
+    rows = _table_text(table.columns.values(), pieces)
+    # the last row ends in "\n" + pad + "]" instead of ",\n"
+    return f"[\n{rows[:-2]}\n{pad}]" if rows else "[]"
 
 
 def json_dumps(obj, indent: int = 2) -> str:
@@ -134,9 +212,8 @@ def csv_lines(header: list[str], rows: list[list] | Table) -> str:
     out = io.StringIO()
     out.write(",".join(header) + "\n")
     if isinstance(rows, Table):
-        specs, cells = _table_cells(rows.columns[name] for name in header)
-        template = ",".join(specs) + "\n"
-        out.write("".join([template % row for row in zip(*cells)]))
+        out.write(_table_text([rows.columns[name] for name in header],
+                              ["", *[","] * (len(header) - 1), "\n"]))
     else:
         for row in rows:
             out.write(",".join("" if v is None else v if isinstance(v, str) else _format_value(v)

@@ -3,8 +3,12 @@
 The report and sweep files were captured before the oracle moved to the
 Dicke-basis block solve and must never change. The two skip-path sweeps (one
 grid point on E0 inside the guard band; every grid point inside it) were
-captured before sweep rows were emitted from column arrays. The validate files were last
-captured once sudden overlaps became dot products of Dicke-basis vectors.
+captured before sweep rows were emitted from column arrays. The two
+subnormal sweeps (lambda 1e-80: exact zeros, three-digit exponents and
+subnormal values, the last of which the vectorized float formatter hands to
+format_float) were captured before sweep tables were formatted as one byte
+matrix. The validate files were last captured once sudden overlaps became
+dot products of Dicke-basis vectors.
 Against the earlier product-space projection they differ only in the H0+V
 (2,0)/(0,2) oracle values (round-off below 1e-18, now exactly 0) and in the
 tenth digit of a few rel_dev values. Those digits are round-off: rel_dev
@@ -31,6 +35,8 @@ SWEEP_STRADDLE = ["sweep", "--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-g
 SWEEP_ALL_SKIPPED = ["sweep", "--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-ghz", "0.2",
                      "--omega2-min-ghz", "3.720999", "--omega2-max-ghz", "3.721001",
                      "--steps", "3"]
+SWEEP_SUBNORMAL = ["sweep", "--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-ghz", "1e-80",
+                   "--omega2-min-ghz", "3.221", "--omega2-max-ghz", "4.221", "--steps", "5"]
 VALIDATE = ["validate", "--omega1-ghz", "5", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
             "--lambda-ghz", "0.02", "--nmax", "20", "--rwa", "both"]
 
@@ -43,6 +49,8 @@ CASES = {
     "sweep_straddle_e0.csv": [*SWEEP_STRADDLE, "--format", "csv"],
     "sweep_all_skipped.json": SWEEP_ALL_SKIPPED,
     "sweep_all_skipped.csv": [*SWEEP_ALL_SKIPPED, "--format", "csv"],
+    "sweep_subnormal.json": SWEEP_SUBNORMAL,
+    "sweep_subnormal.csv": [*SWEEP_SUBNORMAL, "--format", "csv"],
     "validate_nmax20.json": VALIDATE,
     "validate_nmax20.csv": [*VALIDATE, "--format", "csv"],
 }

@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dle3q import (SingularityError, SystemParams, TruncationHeadroomError,
-                   energy_second_order, lamb_shift)
+from dle3q import (ParameterDomainError, SingularityError, SystemParams,
+                   TruncationHeadroomError, energy_second_order, lamb_shift)
 from dle3q.oracle import dressed_state, symmetric_class_shift
-from reference import (BasisState, dicke, energy_unperturbed, hamiltonian_v,
-                       hamiltonian_v_rwa, index_of, perturbed_state, state_at,
-                       symmetrizer)
+from reference import (BasisState, diagonalize_total, dicke, energy_unperturbed,
+                       hamiltonian_v, hamiltonian_v_rwa, index_of, perturbed_state,
+                       state_at, symmetrizer)
 
 W1, W2, E0 = 5.0, 3.75, 3.721
 
@@ -55,6 +56,14 @@ class TestLambShift:
                 lamb_shift(m, E0 * (1 + 1e-14), paper_params)
         lamb_shift(0, E0, paper_params)  # ground class is regular at resonance
 
+    @pytest.mark.parametrize("m", [1.0, 1.5, "1", None, 4, -1])
+    def test_invalid_excitation_count_rejected(self, paper_params, m):
+        with pytest.raises(ParameterDomainError):
+            lamb_shift(m, W1, paper_params)
+
+    def test_numpy_integer_excitation_count(self, paper_params):
+        assert lamb_shift(np.int64(1), W1, paper_params) == lamb_shift(1, W1, paper_params)
+
 
 class TestSecondOrderEnergy:
     def test_ground_equals_lamb_shift_at_n0(self, paper_params):
@@ -84,10 +93,17 @@ class TestSecondOrderEnergy:
                 assert energy_second_order(*dicke(s), W1, paper_params) == pytest.approx(
                     expected, rel=1e-12)
 
-    def test_degenerate_class_members_equal(self, paper_params):
-        for qs in ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1, 0), (1, 0, 1), (0, 1, 1)]):
-            values = {energy_second_order(*dicke(BasisState(2, q)), W2, paper_params) for q in qs}
-            assert len(values) == 1
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_degenerate_class_centroid_at_two_photons(self, m):
+        # the per-label energy of a degenerate class is the mean of its three
+        # exact eigenvalues under H0 + V + V_RWA, at criterion 9b's point
+        p = SystemParams(W1, W2, E0, 0.005, nmax=20)
+        w, v = diagonalize_total(p, W1, include_rwa=True)
+        class_idx = [index_of(BasisState(2, q)) for q in itertools.product((0, 1), repeat=3)
+                     if sum(q) == m]
+        class_weight = (np.abs(v[class_idx, :]) ** 2).sum(axis=0)
+        members = np.argsort(class_weight)[::-1][:3]
+        assert abs(float(w[members].mean()) - energy_second_order(2, m, W1, p)) <= 1e-8
 
 
 class TestPerturbedState:

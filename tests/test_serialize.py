@@ -4,16 +4,39 @@ The list of row dicts stays here as the reference: a Table must serialize to
 exactly the bytes the generic emitter writes for the equivalent rows.
 """
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dle3q.serialize import Table, csv_lines, json_dumps
+from dle3q.serialize import Table, csv_lines, format_float, json_dumps
 
+
+def edge_float(kind: int, digits: int, exponent: int, step: int, negative: bool) -> float:
+    """A float on which %.9e rounding is hardest to get right, or a neighbour of it.
+
+    kind 0 is the near-tie d.ddddddddd5e<exponent> with mantissa digits
+    ``digits``, kind 1 is 9.9999999995e<exponent>, which carries into the
+    exponent, and kind 2 is 1e<exponent>. step -1 or 1 moves to the next
+    float down or up.
+    """
+    mantissa = (f"{digits // 10**9}.{digits % 10**9:09d}5", "9.9999999995", "1")[kind]
+    x = float(f"{mantissa}e{exponent}")
+    if step:
+        x = math.nextafter(x, step * math.inf)
+    return -x if negative else x
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+            1.7976931348623157e308, -1.7976931348623157e308]
 finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]),
+    st.sampled_from(EXTREMES),
+    st.builds(edge_float, st.integers(min_value=0, max_value=2),
+              st.integers(min_value=10**9, max_value=10**10 - 1),
+              st.integers(min_value=-307, max_value=307), st.integers(min_value=-1, max_value=1),
+              st.booleans()),
 )
 names = st.text(alphabet="abz_%", min_size=1, max_size=6)
 
@@ -73,6 +96,16 @@ def test_non_finite_value_raises(case, data, bad):
         csv_lines(list(table.columns), table)
 
 
+def test_edge_floats_match_format_float():
+    rng = random.Random(8)
+    values = EXTREMES + [edge_float(rng.randrange(3), rng.randrange(10**9, 10**10),
+                                    rng.randint(-307, 307), rng.randint(-1, 1),
+                                    rng.random() < 0.5)
+                         for _ in range(10**5)]
+    expected = "x\n" + "".join(f"{format_float(v)}\n" for v in values)
+    assert csv_lines(["x"], Table({"x": np.array(values)})) == expected
+
+
 def sample_table() -> Table:
     return Table({"x": np.array([1.5, -0.0]), "ok": np.array([True, False])})
 
@@ -126,6 +159,12 @@ def test_empty_table():
 def test_malformed_table_rejected(columns):
     with pytest.raises(ValueError):
         Table(columns)
+
+
+def test_nul_in_column_name_rejected():
+    # NUL pads the byte matrix and is dropped from it, so a name may not hold one
+    with pytest.raises(ValueError, match="must not contain NUL"):
+        json_dumps(Table({"a\0b": np.zeros(2)}))
 
 
 def test_unsupported_dtype_rejected():
