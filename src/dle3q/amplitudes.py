@@ -61,16 +61,34 @@ def amplitude_table(omega1, omega2, e0, lam) -> np.ndarray:
     return table
 
 
+def _integer(value) -> int | None:
+    """value as a Python int, or None if it is not an integer (a bool is not)."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _channel(n: int, m: int) -> tuple[int, int]:
     """(n, m) as Python ints, checked to name a channel: n >= 0 and 0 <= m <= 3."""
-    try:
-        n, m = operator.index(n), operator.index(m)
-    except TypeError:
+    n_int, m_int = _integer(n), _integer(m)
+    if n_int is None or m_int is None:
         raise ParameterDomainError(
-            f"invalid channel (n={n!r}, m={m!r}): n and m must be integers") from None
-    if n < 0 or not 0 <= m <= 3:
-        raise ParameterDomainError(f"invalid channel (n={n}, m={m})")
-    return n, m
+            f"invalid channel (n={n!r}, m={m!r}): n and m must be integers")
+    if n_int < 0 or not 0 <= m_int <= 3:
+        raise ParameterDomainError(f"invalid channel (n={n_int}, m={m_int})")
+    return n_int, m_int
+
+
+def _excitation_count(m: int) -> int:
+    """m as a Python int, checked to count excited qubits: 0 <= m <= 3."""
+    m_int = _integer(m)
+    if m_int is None or not 0 <= m_int <= 3:
+        raise ParameterDomainError(
+            f"invalid excitation count m={m!r}: must be an integer in 0..3")
+    return m_int
 
 
 def amplitude_closed_form(n: int, m: int, p: SystemParams) -> float:

@@ -16,12 +16,39 @@ H0 + V + V_RWA conserves only the parity of n + m, the Z2 symmetry that
 makes the Rabi model tractable (Braak, PRL 107, 100401, 2011), so it splits
 into two halves of 2*(nmax+1) states.  Only the block holding the requested
 label is diagonalized, and every eigendecomposition must pass the Gram and
-reconstruction residual checks.  Dressed states are matched inside their
-block, which keeps the assignment deterministic inside otherwise-degenerate
-excitation classes, and are returned as Dicke-basis vectors that are zero
-outside that block.  Sudden overlaps are divided by sqrt(multiplicity) of
-the target class so they are quoted per target configuration, matching the
-closed-form convention.
+reconstruction residual checks.
+
+The block is solved on a ladder of photon cutoffs K: FIRST_CUTOFF (or nmax
+if smaller), then 2K, and so on, ending with the full nmax block.  Dressed
+photon amplitudes fall off roughly as (lam/omega)^n/sqrt(n!), so at weak
+coupling the first rung already holds the answer to float64 rounding.  A
+rung below nmax is accepted only if
+
+  * the matched eigenpair (w, x), padded with zeros, has a residual
+    |H x - w x| in the nmax block of at most TRUNCATION_FLOOR*max|w|.  That
+    residual is exactly the n = K -> K+1 couplings applied to the n = K rows.
+    (w, x) is then an exact eigenpair of H plus a perturbation of that norm,
+    a backward error at the level of the full solve's own rounding;
+  * the label overlap exceeds sqrt(1 - overlap^2) by MIN_MATCH_MARGIN,
+    which makes it dominant (> MIN_LABEL_OVERLAP).  The squared overlaps of
+    all eigenvectors with the label row sum to 1, so no other eigenvector of
+    the full block can come closer, and the full solve would pass the same
+    checks with the same match.
+
+Otherwise the next rung is solved, so a near-crossing or lost label is
+always reported from the full nmax block.  Rungs with fewer than HEADROOM
+photons above the label are skipped, so an H0 + V block (n - m fixed, at
+most 3 photons above the label) never reaches n = K: every rung holds the
+same matrix as the nmax block, the residual is exactly 0, and the result is
+the nmax solve bit for bit.  A rung whose block would exceed
+MAX_BLOCK_STATES states is refused with ParameterDomainError before it is
+allocated.
+
+Dressed states are matched inside their block, which keeps the assignment
+deterministic inside otherwise-degenerate excitation classes, and are
+returned as Dicke-basis vectors that are zero outside that block.  Sudden
+overlaps are divided by sqrt(multiplicity) of the target class so they are
+quoted per target configuration, matching the closed-form convention.
 
 States are named by their Dicke label (n, m) alone.  The product-space
 Hamiltonian, its full eigendecomposition and the map from the Dicke basis
@@ -66,6 +93,19 @@ HEADROOM = 4
 #: Dominant-character acceptance threshold for dressed matching.
 MIN_LABEL_OVERLAP = 1.0 / math.sqrt(2.0)
 
+#: Least gap between the matched label overlap and the runner-up's.
+MIN_MATCH_MARGIN = 1e-6
+
+#: First photon cutoff of the ladder dressed_state solves on.
+FIRST_CUTOFF = 20
+
+#: Truncation residual accepted below nmax, relative to max|w| of the block.
+TRUNCATION_FLOOR = 1e-15
+
+#: Largest block the oracle diagonalizes; the dense solve needs several
+#: matrices of this many states squared.
+MAX_BLOCK_STATES = 10_000
+
 
 @dataclass(frozen=True)
 class DressedState:
@@ -107,20 +147,20 @@ def _block_of(n, m, include_rwa: bool):
     return (n + m) % 2 if include_rwa else n - m
 
 
-def _block_hamiltonian(omega: float, e0: float, lam: float, nmax: int,
+def _block_hamiltonian(omega: float, e0: float, lam: float, cutoff: int,
                        include_rwa: bool, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """One conserved-quantity block of H in the Dicke basis.
+    """One conserved-quantity block of H in the Dicke basis, up to cutoff photons.
 
     Returns (rows, h): the Dicke indices 4*n + m of the block's states in
     ascending order, and the block matrix over them.
     """
-    n, m = np.divmod(np.arange(4 * (nmax + 1)), 4)
+    n, m = np.divmod(np.arange(4 * (cutoff + 1)), 4)
     rows = np.flatnonzero(_block_of(n, m, include_rwa) == block)
     n, m = n[rows], m[rows]
     h = np.diag(n * omega + m * e0)
     spin = np.sqrt((m + 1) * (3 - m))  # collective sigma^+ on the Dicke state m
     # V: (n, m) -> (n+1, m+1), Dicke index + 5; V_RWA: (n, m) -> (n-1, m+1), index - 3
-    hops = [(n < nmax, 5, n + 1)]
+    hops = [(n < cutoff, 5, n + 1)]
     if include_rwa:
         hops.append((n >= 1, -3, n))
     for allowed, step, photons in hops:
@@ -130,15 +170,64 @@ def _block_hamiltonian(omega: float, e0: float, lam: float, nmax: int,
     return rows, h
 
 
+def _truncation_residual(vector: np.ndarray, rows: np.ndarray, lam: float,
+                         cutoff: int, include_rwa: bool) -> float:
+    """|H x - w x| in any larger cutoff, for an eigenpair (w, vector) of a cutoff block.
+
+    x is vector padded with zeros.  The larger block holds the cutoff block
+    unchanged, so the residual is exactly the couplings from the n = cutoff
+    layer into the n = cutoff + 1 layer, applied to x.
+    """
+    base = 4 * cutoff
+    edge = [0.0] * 4  # x at n = cutoff, by m
+    start = int(np.searchsorted(rows, base))
+    for row, value in zip(rows[start:].tolist(), vector[start:].tolist()):
+        edge[row - base] = value
+    beyond = [0.0] * 4  # H x at n = cutoff + 1, by m, over lam*sqrt(cutoff+1)
+    for m, spin in enumerate((math.sqrt(3.0), 2.0, math.sqrt(3.0))):
+        beyond[m + 1] += spin * edge[m]  # V: (cutoff, m) -> (cutoff+1, m+1)
+        if include_rwa:
+            beyond[m] += spin * edge[m + 1]  # V_RWA: (cutoff, m+1) -> (cutoff+1, m)
+    return lam * math.sqrt(cutoff + 1) * math.hypot(*beyond)
+
+
+def _certified(overlap: float, w: np.ndarray, vector: np.ndarray, rows: np.ndarray,
+               lam: float, cutoff: int, include_rwa: bool) -> bool:
+    """Whether the match (overlap, vector) in a cutoff block stands for every larger cutoff.
+
+    The acceptance rule of the module docstring: a label overlap that
+    exceeds sqrt(1 - overlap^2) by MIN_MATCH_MARGIN, which also makes it
+    dominant (overlap^2 > 1/2), and a truncation residual of at most
+    TRUNCATION_FLOOR*max|w|.
+    """
+    return (overlap - math.sqrt(max(0.0, 1.0 - overlap ** 2)) >= MIN_MATCH_MARGIN
+            and _truncation_residual(vector, rows, lam, cutoff, include_rwa)
+            <= TRUNCATION_FLOOR * float(np.abs(w).max()))
+
+
 @lru_cache(maxsize=64)
-def _symmetric_eig(omega: float, e0: float, lam: float, nmax: int,
+def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
                    include_rwa: bool, block: int):
     """Checked eigendecomposition of one block of H: (w, v, Dicke rows)."""
-    rows, h = _block_hamiltonian(omega, e0, lam, nmax, include_rwa, block)
+    rows, h = _block_hamiltonian(omega, e0, lam, cutoff, include_rwa, block)
     w, v = _eigh_checked(h)
     for a in (w, v, rows):
         a.setflags(write=False)
     return w, v, rows
+
+
+def _cutoffs(nmax: int, n: int):
+    """The ladder of photon cutoffs tried for a label with n photons.
+
+    FIRST_CUTOFF (or nmax if smaller), doubling, ending at nmax; rungs
+    without HEADROOM photons above the label are skipped.
+    """
+    cutoff = min(nmax, FIRST_CUTOFF)
+    while cutoff < nmax:
+        if cutoff - n >= HEADROOM:
+            yield cutoff
+        cutoff *= 2
+    yield nmax
 
 
 def dressed_state(n: int, m: int, p: SystemParams, omega: float,
@@ -147,11 +236,14 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
 
     n photons, m of the three qubits excited; a non-integer label, n < 0 or
     m outside 0..3 raises ParameterDomainError.  Only the conserved-quantity
-    block holding the label is diagonalized.  The match maximizes |overlap|
-    with the label's row within that block; it must be dominant
-    (> 1/sqrt(2)) and separated from the runner-up (0 in a one-state block)
-    by at least 1e-6, otherwise a DegeneracyAmbiguityError is raised.  The
-    phase is fixed so the label's component is positive.
+    block holding the label is diagonalized, on the ladder of photon
+    cutoffs described in the module docstring; a rung whose block would
+    exceed MAX_BLOCK_STATES states raises ParameterDomainError.  The match
+    maximizes |overlap| with the label's row within the block; it must be
+    dominant (> 1/sqrt(2)) and separated from the runner-up (0 in a
+    one-state block) by at least MIN_MATCH_MARGIN, otherwise a
+    DegeneracyAmbiguityError is raised.  The phase is fixed so the label's
+    component is positive.
     """
     n, m = _channel(n, m)
     label = f"|n={n}, m={m}>"
@@ -159,14 +251,25 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
         raise TruncationHeadroomError(
             f"label {label} needs photon headroom: n <= nmax - {HEADROOM} "
             f"= {p.nmax - HEADROOM}")
-    w, v, rows = _symmetric_eig(omega, p.e0, p.lambda_, p.nmax, include_rwa,
-                                _block_of(n, m, include_rwa))
-    target = int(np.searchsorted(rows, 4 * n + m))
-    overlaps = np.abs(v[target, :])
+    block = _block_of(n, m, include_rwa)
+    for cutoff in _cutoffs(p.nmax, n):
+        states = 2 * (cutoff + 1) if include_rwa else 4
+        if states > MAX_BLOCK_STATES:
+            raise ParameterDomainError(
+                f"nmax={p.nmax} is too large: no cutoff below {cutoff} photons "
+                f"certifies {label}, and the {cutoff}-photon block has {states} "
+                f"states, over the {MAX_BLOCK_STATES}-state limit")
+        w, v, rows = _symmetric_eig(omega, p.e0, p.lambda_, cutoff, include_rwa, block)
+        target = int(np.searchsorted(rows, 4 * n + m))
+        overlaps = np.abs(v[target, :])
+        best = int(np.argmax(overlaps))
+        if cutoff < p.nmax and _certified(overlaps[best], w, v[:, best], rows, p.lambda_,
+                                          cutoff, include_rwa):
+            break
     order = np.argsort(overlaps)[::-1]
     best = order[0]
     runner_up = overlaps[order[1]] if order.size > 1 else 0.0
-    if overlaps[best] - runner_up < 1e-6:
+    if overlaps[best] - runner_up < MIN_MATCH_MARGIN:
         raise DegeneracyAmbiguityError(
             f"two eigenvectors match {label} equally well "
             f"({overlaps[best]:.6f} vs {runner_up:.6f}); near-crossing")
@@ -227,6 +330,10 @@ def convergence_study(p: SystemParams, nmax_list: list[int],
                       include_rwa: bool = False,
                       channels: tuple[tuple[int, int], ...] = DLE_CHANNELS):
     """Sudden overlaps per channel across truncations.
+
+    Once a photon cutoff K is certified for every label (see the module
+    docstring), the values for every nmax >= K are identical, bit for bit:
+    each is solved at the same cutoff, and the solve is cached.
 
     Returns (rows, summary): rows are dicts with keys nmax, channel_n,
     channel_m, value; summary maps each channel to {"converged", "monotone"}

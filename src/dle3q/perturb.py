@@ -27,7 +27,7 @@ with the photon-number-independent Lamb shifts
 """
 from __future__ import annotations
 
-from .amplitudes import _channel
+from .amplitudes import _channel, _excitation_count
 from .params import SystemParams, guard_detuning
 
 
@@ -36,7 +36,7 @@ def lamb_shift(m: int, omega: float, p: SystemParams) -> float:
 
     Raises ParameterDomainError unless m is an integer in 0..3.
     """
-    _, m = _channel(0, m)
+    m = _excitation_count(m)
     lam2 = p.lambda_ ** 2
     if m == 0:
         value = -3.0 * lam2 / (omega + p.e0)

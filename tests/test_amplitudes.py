@@ -73,7 +73,7 @@ CHANNEL_ROUTES = {
 
 @pytest.mark.parametrize("route", list(CHANNEL_ROUTES))
 @pytest.mark.parametrize("channel", [(1.5, 1), (1, 1.0), (np.float64(2.0), 0), ("1", 1),
-                                     (None, 2)])
+                                     (None, 2), (True, 1), (1, False)])
 def test_non_integer_channel_rejected(route, channel):
     p = SystemParams(5.0, 4.5, 3.721, 0.02)
     with pytest.raises(ParameterDomainError, match="n and m must be integers"):

@@ -7,13 +7,16 @@ captured before sweep rows were emitted from column arrays. The two
 subnormal sweeps (lambda 1e-80: exact zeros, three-digit exponents and
 subnormal values, the last of which the vectorized float formatter hands to
 format_float) were captured before sweep tables were formatted as one byte
-matrix. The validate files were last captured once sudden overlaps became
-dot products of Dicke-basis vectors.
+matrix. The nmax-20 validate files were last captured once sudden overlaps
+became dot products of Dicke-basis vectors.
 Against the earlier product-space projection they differ only in the H0+V
 (2,0)/(0,2) oracle values (round-off below 1e-18, now exactly 0) and in the
 tenth digit of a few rel_dev values. Those digits are round-off: rel_dev
 divides a difference that cancels about six digits, and
-tests/test_oracle.py checks it against a 50-digit reference to 1e-8.
+tests/test_oracle.py checks it against a 50-digit reference to 1e-8. The
+nmax-160 validate files were captured while every V_RWA block was still
+diagonalized at all 160 photons, before the oracle solved on a ladder of
+certified photon cutoffs.
 
 To regenerate one after a deliberate output change, run the listed argv,
 e.g. ``python -m dle3q.cli report --omega1-ghz 5 ... > tests/golden/report_paper.json``.
@@ -39,6 +42,7 @@ SWEEP_SUBNORMAL = ["sweep", "--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-
                    "--omega2-min-ghz", "3.221", "--omega2-max-ghz", "4.221", "--steps", "5"]
 VALIDATE = ["validate", "--omega1-ghz", "5", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
             "--lambda-ghz", "0.02", "--nmax", "20", "--rwa", "both"]
+VALIDATE_160 = [*VALIDATE[:-4], "--nmax", "160", "--rwa", "both"]
 
 CASES = {
     "report_paper.json": ["report", *PAPER],
@@ -53,6 +57,8 @@ CASES = {
     "sweep_subnormal.csv": [*SWEEP_SUBNORMAL, "--format", "csv"],
     "validate_nmax20.json": VALIDATE,
     "validate_nmax20.csv": [*VALIDATE, "--format", "csv"],
+    "validate_nmax160.json": VALIDATE_160,
+    "validate_nmax160.csv": [*VALIDATE_160, "--format", "csv"],
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -133,6 +134,190 @@ class TestBlockSolve:
             dressed_state(0, 0, SystemParams(W1, omega2, E0, 0.01), omega=W1)
         info = _symmetric_eig.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def _full_block_state(n, m, p, omega, rwa):
+    """(eigenvalue, Dicke vector) of |n; m> from one eigh of its whole nmax block.
+
+    The block is built here from the matrix elements in the oracle module
+    docstring.  None when the match is not dominant or not separated from
+    the runner-up by 1e-6, where dressed_state must raise.
+    """
+    states = [(k, j) for k in range(p.nmax + 1) for j in range(4)
+              if ((k + j) % 2 == (n + m) % 2 if rwa else k - j == n - m)]
+    index = {state: i for i, state in enumerate(states)}
+    h = np.diag([k * omega + j * p.e0 for k, j in states])
+    for (k, j), i in index.items():
+        if j == 3:
+            continue
+        spin = math.sqrt((j + 1) * (3 - j))
+        up = index.get((k + 1, j + 1))
+        if up is not None:
+            h[i, up] = h[up, i] = p.lambda_ * math.sqrt(k + 1) * spin
+        down = index.get((k - 1, j + 1))
+        if rwa and down is not None:
+            h[i, down] = h[down, i] = p.lambda_ * math.sqrt(k) * spin
+    w, v = np.linalg.eigh(h)
+    target = index[(n, m)]
+    overlaps = np.abs(v[target])
+    first, second = np.sort(overlaps)[::-1][:2]
+    if first <= 1 / math.sqrt(2) or first - second < 1e-6:
+        return None
+    col = int(np.argmax(overlaps))
+    vector = np.zeros(4 * (p.nmax + 1))
+    vector[[4 * k + j for k, j in states]] = v[:, col] * np.sign(v[target, col])
+    return w[col], vector
+
+
+@pytest.fixture
+def solved_cutoffs(monkeypatch):
+    """The photon cutoffs dressed_state diagonalizes at, in call order."""
+    cutoffs = []
+    real = oracle._symmetric_eig
+
+    def recording(omega, e0, lam, cutoff, include_rwa, block):
+        cutoffs.append(cutoff)
+        return real(omega, e0, lam, cutoff, include_rwa, block)
+
+    monkeypatch.setattr(oracle, "_symmetric_eig", recording)
+    return cutoffs
+
+
+GOLDEN_POINT = ["--omega1-ghz", "5", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
+                "--lambda-ghz", "0.02"]
+PAPER_POINT = ["--omega1-ghz", "5", "--omega2-ghz", "3.75", "--e0-ghz", "3.721",
+               "--lambda-ghz", "0.2"]
+
+
+class TestCutoffLadder:
+    @pytest.mark.parametrize("nmax,n,ladder", [
+        (160, 2, [20, 40, 80, 160]), (100, 2, [20, 40, 80, 100]), (20, 2, [20]),
+        (12, 0, [12]), (160, 17, [40, 80, 160]), (21, 17, [21])])
+    def test_ladder(self, nmax, n, ladder):
+        assert list(oracle._cutoffs(nmax, n)) == ladder
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_truncation_residual_is_the_next_layer(self, rwa):
+        # strong coupling, so the n = cutoff components are far from zero
+        cutoff, lam = 6, 1.0
+        largest = 0.0
+        for block in ((0, 1) if rwa else (3, 4, 5, 6)):
+            w, v, rows = _symmetric_eig(4.5, E0, lam, cutoff, rwa, block)
+            big_rows, h = _block_hamiltonian(4.5, E0, lam, cutoff + 3, rwa, block)
+            padded = np.zeros((big_rows.size, w.size))
+            padded[np.searchsorted(big_rows, rows)] = v
+            outside = big_rows >= 4 * (cutoff + 1)
+            expected = np.linalg.norm((h @ padded)[outside], axis=0)
+            got = [oracle._truncation_residual(v[:, k], rows, lam, cutoff, rwa)
+                   for k in range(w.size)]
+            assert np.allclose(got, expected, rtol=1e-12, atol=0)
+            largest = max(largest, *got)
+        assert largest > 0.1
+
+    def test_certified_cutoff_shared_across_nmax(self, solved_cutoffs):
+        _symmetric_eig.cache_clear()
+        p20 = SystemParams(W1, 4.5, E0, 0.02, nmax=20)
+        ds20 = dressed_state(1, 1, p20, 4.5, include_rwa=True)
+        for nmax in (21, 57, 160, 100_000):
+            ds = dressed_state(1, 1, SystemParams(W1, 4.5, E0, 0.02, nmax=nmax), 4.5,
+                               include_rwa=True)
+            assert ds.eigenvalue == ds20.eigenvalue
+            assert np.array_equal(ds.vector[:ds20.vector.size], ds20.vector)
+            assert not ds.vector[ds20.vector.size:].any()
+        assert solved_cutoffs == [20] * 5
+        assert _symmetric_eig.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n,m", [(0, 0), *DLE_CHANNELS])
+    def test_v_only_blocks_bit_for_bit(self, n, m):
+        # H0 + V blocks hold no state at the first cutoff, so they certify
+        # with a zero residual and equal one eigh of the nmax block exactly
+        p = SystemParams(W1, 4.5, E0, 0.2, nmax=160)
+        rows, h = _block_hamiltonian(4.5, E0, 0.2, 160, False, n - m)
+        w, v = np.linalg.eigh(h)
+        target = int(np.searchsorted(rows, 4 * n + m))
+        col = int(np.argmax(np.abs(v[target])))
+        ds = dressed_state(n, m, p, 4.5)
+        assert ds.eigenvalue == w[col]
+        assert np.array_equal(ds.vector[rows], v[:, col] * np.sign(v[target, col]))
+
+    def test_convergence_study_identical_once_certified(self):
+        _symmetric_eig.cache_clear()
+        p = SystemParams(W1, 4.5, E0, 0.02)
+        rows, summary = convergence_study(p, [24, 48, 96], include_rwa=True)
+        for channel in DLE_CHANNELS:
+            values = {r["value"] for r in rows if (r["channel_n"], r["channel_m"]) == channel}
+            assert len(values) == 1
+            assert summary[channel]["converged"]
+        # one even-parity block at omega1 and one at omega2, both at cutoff 20
+        assert _symmetric_eig.cache_info().misses == 2
+
+    def test_truncation_residual_climbs_the_ladder(self, solved_cutoffs):
+        # at lam 2 with V_RWA the ground state keeps its label (overlap 0.72)
+        # at 20 photons, but its 20-photon tail still couples onward, with a
+        # residual of about 1e-6; 40 photons are below rounding
+        p = SystemParams(W1, 4.5, E0, 2.0, nmax=160)
+        w, v, rows = _symmetric_eig(W1, E0, 2.0, 20, True, 0)
+        assert np.abs(v[0]).max() > 0.7 + 1e-6
+        ds = dressed_state(0, 0, p, W1, include_rwa=True)
+        assert solved_cutoffs == [20, 40]
+        g_val, g_vec = _full_block_state(0, 0, p, W1, True)
+        assert abs(ds.eigenvalue - g_val) <= 1e-12 * abs(g_val)
+        assert np.abs(ds.vector - g_vec).max() <= 1e-12
+        rung_20 = np.zeros_like(g_vec)
+        rung_20[rows] = v[:, np.argmax(np.abs(v[0]))]
+        assert np.abs(np.abs(rung_20) - np.abs(g_vec)).max() > 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(omega1=st.floats(4.8, 5.2), omega2=st.floats(4.3, 4.7),
+           e0=st.floats(3.6, 3.8), lam=st.floats(1e-3, 0.2),
+           nmax=st.integers(24, 96), rwa=st.booleans())
+    def test_matches_full_block(self, omega1, omega2, e0, lam, nmax, rwa):
+        p = SystemParams(omega1, omega2, e0, lam, nmax=nmax)
+        g_val, g_vec = _full_block_state(0, 0, p, omega1, rwa)
+        ds = dressed_state(0, 0, p, omega1, include_rwa=rwa)
+        assert abs(ds.eigenvalue - g_val) <= 1e-12 * abs(g_val) + 1e-12
+        assert np.abs(ds.vector - g_vec).max() <= 1e-12
+        for n, m in DLE_CHANNELS:
+            full = _full_block_state(n, m, p, omega2, rwa)
+            if full is None:
+                with pytest.raises(DegeneracyAmbiguityError):
+                    dressed_state(n, m, p, omega2, include_rwa=rwa)
+                continue
+            t_val, t_vec = full
+            ds = dressed_state(n, m, p, omega2, include_rwa=rwa)
+            assert abs(ds.eigenvalue - t_val) <= 1e-12 * abs(t_val)
+            assert np.abs(ds.vector - t_vec).max() <= 1e-12
+            reference = float(t_vec @ g_vec) / math.sqrt(CLASS_MULTIPLICITY[m])
+            assert abs(sudden_overlap(n, m, p, include_rwa=rwa) - reference) <= 1e-15
+
+    def test_lost_label_still_reported_from_nmax(self, solved_cutoffs, capsys):
+        code = main(["validate", *PAPER_POINT, "--nmax", "160"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "solver error: best overlap 0.6296 with |n=2, m=0> is not dominant "
+            "(needs > 0.7071); state has lost its label character\n")
+        assert solved_cutoffs[-4:] == [20, 40, 80, 160]
+
+    def test_block_over_limit_refused(self, monkeypatch, solved_cutoffs, capsys):
+        monkeypatch.setattr(oracle, "MAX_BLOCK_STATES", 50)
+        p = SystemParams(W1, 3.75, E0, 0.2, nmax=160)
+        with pytest.raises(ParameterDomainError, match="nmax=160 is too large"):
+            dressed_state(2, 0, p, 3.75, include_rwa=True)
+        assert solved_cutoffs == [20]  # 42 states; the 40-photon block has 82
+        code = main(["validate", *PAPER_POINT, "--nmax", "160", "--rwa", "on"])
+        assert code == 2
+        assert "error: nmax=160 is too large" in capsys.readouterr().err
+
+    def test_certified_cutoff_never_reaches_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "MAX_BLOCK_STATES", 50)
+        assert main(["validate", *GOLDEN_POINT, "--nmax", "100000"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert main(["validate", *GOLDEN_POINT, "--nmax", "20"]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert [r["oracle"] for r in got["rows"]] == [r["oracle"] for r in want["rows"]]
+        assert {r["nmax"] for r in got["rows"]} == {100_000}
 
 
 CORRUPTIONS = {
@@ -364,13 +549,16 @@ REL_DEV_REFERENCE = {
 
 
 def test_validate_rows_match_high_precision_reference():
-    p = SystemParams(W1, 4.5, E0, 0.02, nmax=20)
-    rows = [r for rwa in (False, True)
-            for r in compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa)]
-    assert len(rows) == len(ORACLE_REFERENCE)
-    for r in rows:
-        key = (r["include_rwa"], r["lambda_scale"], r["channel_n"], r["channel_m"])
-        assert abs(r["oracle"] - ORACLE_REFERENCE[key]) <= 1e-13, key
-        if key[2:] == (1, 1):
-            ref = REL_DEV_REFERENCE[key[:2]]
-            assert abs(r["rel_dev"] - ref) <= 1e-8 * ref, key
+    # the reference solves nmax 20; at lam 0.02 the truncation beyond 20
+    # photons is far below the 1e-13 bound, so larger nmax must agree too
+    for nmax in (20, 80, 160):
+        p = SystemParams(W1, 4.5, E0, 0.02, nmax=nmax)
+        rows = [r for rwa in (False, True)
+                for r in compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa)]
+        assert len(rows) == len(ORACLE_REFERENCE)
+        for r in rows:
+            key = (r["include_rwa"], r["lambda_scale"], r["channel_n"], r["channel_m"])
+            assert abs(r["oracle"] - ORACLE_REFERENCE[key]) <= 1e-13, (nmax, key)
+            if key[2:] == (1, 1):
+                ref = REL_DEV_REFERENCE[key[:2]]
+                assert abs(r["rel_dev"] - ref) <= 1e-8 * ref, (nmax, key)

@@ -56,10 +56,12 @@ class TestLambShift:
                 lamb_shift(m, E0 * (1 + 1e-14), paper_params)
         lamb_shift(0, E0, paper_params)  # ground class is regular at resonance
 
-    @pytest.mark.parametrize("m", [1.0, 1.5, "1", None, 4, -1])
+    @pytest.mark.parametrize("m", [1.0, 1.5, "1", None, 4, -1, True])
     def test_invalid_excitation_count_rejected(self, paper_params, m):
-        with pytest.raises(ParameterDomainError):
+        with pytest.raises(ParameterDomainError) as info:
             lamb_shift(m, W1, paper_params)
+        assert str(info.value) == (
+            f"invalid excitation count m={m!r}: must be an integer in 0..3")
 
     def test_numpy_integer_excitation_count(self, paper_params):
         assert lamb_shift(np.int64(1), W1, paper_params) == lamb_shift(1, W1, paper_params)
