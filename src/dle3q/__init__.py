@@ -16,9 +16,8 @@ from .errors import (DegeneracyAmbiguityError, NormalizationError,
                      SolverDiagnosticsError, TruncationHeadroomError)
 from .oracle import (DressedState, compare_with_closed_forms,
                      convergence_study, dressed_state, shrink_factors,
-                     sudden_overlap, symmetric_class_shift)
+                     sudden_overlap)
 from .params import SystemParams, ValidityReport, guard_detuning, validate_params
-from .perturb import energy_second_order, lamb_shift
 
 __version__ = "0.1.0"
 
@@ -29,9 +28,7 @@ __all__ = [
     "TruncationHeadroomError", "ValidityReport", "amplitude_closed_form",
     "amplitude_table", "compare_with_closed_forms", "concurrence_mixed",
     "concurrence_pair_general", "convergence_study", "dressed_state",
-    "energy_second_order", "entanglement_report", "guard_detuning",
-    "lamb_shift", "monogamy_residual", "normalized_sectors",
-    "residual_tangle_general", "sector_measures", "shrink_factors",
-    "sudden_overlap", "symmetric_class_shift", "symmetric_sector",
-    "validate_params",
+    "entanglement_report", "guard_detuning", "monogamy_residual",
+    "normalized_sectors", "residual_tangle_general", "sector_measures",
+    "shrink_factors", "sudden_overlap", "symmetric_sector", "validate_params",
 ]

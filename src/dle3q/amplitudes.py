@@ -37,6 +37,9 @@ from .params import SystemParams, guard_detuning
 #: The only (n, m) channels with nonzero switch amplitude.
 DLE_CHANNELS = ((2, 0), (1, 1), (0, 2), (2, 2))
 
+#: Size of each excitation class, binom(3, m): the product targets sharing A(n; m).
+CLASS_MULTIPLICITY = (1, 3, 3, 1)
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -80,15 +83,6 @@ def _channel(n: int, m: int) -> tuple[int, int]:
     if n_int < 0 or not 0 <= m_int <= 3:
         raise ParameterDomainError(f"invalid channel (n={n_int}, m={m_int})")
     return n_int, m_int
-
-
-def _excitation_count(m: int) -> int:
-    """m as a Python int, checked to count excited qubits: 0 <= m <= 3."""
-    m_int = _integer(m)
-    if m_int is None or not 0 <= m_int <= 3:
-        raise ParameterDomainError(
-            f"invalid excitation count m={m!r}: must be an integer in 0..3")
-    return m_int
 
 
 def amplitude_closed_form(n: int, m: int, p: SystemParams) -> float:

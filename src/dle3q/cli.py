@@ -23,6 +23,9 @@ from .serialize import Table, csv_lines, json_dumps
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
 SWEEP_GUARD_BAND = 1e-6
 
+#: Most grid points one sweep evaluates; a point takes about 1.3 KB while it runs.
+MAX_SWEEP_STEPS = 10 ** 6
+
 _PARAM_FLAGS = {
     "omega1_ghz": "--omega1-ghz",
     "omega2_ghz": "--omega2-ghz",
@@ -199,6 +202,8 @@ def cmd_sweep(args) -> int:
         raise ParameterDomainError(f"need 0 < omega2_min < omega2_max, got {lo}, {hi}")
     if steps < 2:
         raise ParameterDomainError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise ParameterDomainError(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
     grid = lo + (hi - lo) * np.arange(steps) / (steps - 1)
     omega2 = grid[~(abs(grid - p_base.e0) < SWEEP_GUARD_BAND * p_base.e0)]
     skipped = steps - omega2.size

@@ -26,12 +26,13 @@ Raw sector values reproduce the published numbers; a normalized variant
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .amplitudes import amplitude_table
+from .amplitudes import CLASS_MULTIPLICITY, amplitude_table
 from .errors import NormalizationError
 from .params import ValidityReport, validate_params
 
@@ -54,9 +55,6 @@ _BITS = tuple(itertools.product((0, 1), repeat=3))
 
 #: Number of excited qubits of each coefficient a[4i + 2j + k].
 _EXCITATIONS = np.array([sum(bits) for bits in _BITS])
-
-#: binom(3, m): how many of the eight sector coefficients equal A(n; m).
-_MULTIPLICITY = np.array([1.0, 3.0, 3.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,11 @@ def residual_tangle_general(a):
     """Three-tangle 4|d1 - 2 d2 + 4 d3| of eight coefficients a[4i + 2j + k] (any norm).
 
     Each coefficient may be a number or an array; arrays give the tangle
-    elementwise, so a[k] may hold coefficient k of many states.
+    elementwise, so a[k] may hold coefficient k of many states.  Raises
+    ValueError unless there are exactly eight coefficients.
     """
+    if len(a) != 8:
+        raise ValueError(f"expected 8 coefficients a[4i + 2j + k], got {len(a)}")
     d1, d2, d3 = _d_invariants(a)
     return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
@@ -142,7 +143,7 @@ def normalized_sectors(table) -> np.ndarray:
     table = np.asarray(table, dtype=float)
     peak = abs(table).max(axis=-1, keepdims=True)
     unit = np.divide(table, peak, out=np.zeros_like(table), where=peak > 0)
-    norm = np.sqrt((unit ** 2 * _MULTIPLICITY).sum(axis=-1, keepdims=True))
+    norm = np.sqrt((unit ** 2 * CLASS_MULTIPLICITY).sum(axis=-1, keepdims=True))
     return np.divide(unit, norm, out=unit, where=norm > 0)
 
 
@@ -178,12 +179,16 @@ def concurrence_mixed(rho: np.ndarray) -> float:
     the decreasing square roots of the eigenvalues of rho * rho_tilde.
     Computed as the singular values of sqrt(rho)^T (sy x sy) sqrt(rho),
     which is the same spectrum evaluated without differencing noisy
-    near-zero eigenvalues.
+    near-zero eigenvalues.  Raises ValueError for a matrix that is not 4x4,
+    holds a NaN or infinite entry, or is not Hermitian.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    scale = max(float(np.abs(rho).max()), 1e-300)
+    peak = float(np.abs(rho).max())
+    if not math.isfinite(peak):
+        raise ValueError("density matrix has a non-finite entry")
+    scale = max(peak, 1e-300)
     if np.abs(rho - rho.conj().T).max() > 1e-10 * scale:
         raise ValueError("density matrix is not Hermitian")
     root = _sqrt_psd(rho)
@@ -204,12 +209,14 @@ def monogamy_residual(a, normalized: bool = True) -> float:
 
     tau_A(BC) = 4 det(rho_A).  Zero (to numerical precision) for normalized
     pure states; that equality is the Coffman monogamy relation, stated here
-    only where it is a theorem, hence the normalization check.
+    only where it is a theorem, hence the normalization check, which a NaN
+    or infinite coefficient fails too.  Raises ValueError unless a holds
+    eight finite coefficients.
     """
     psi = np.asarray(a, dtype=complex).reshape(8)
     if normalized:
         norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise NormalizationError(f"state norm {norm} differs from 1 beyond 1e-10")
     t = psi.reshape(2, 2, 2)
     rho_a = np.einsum("ijk,ljk->il", t, t.conj())

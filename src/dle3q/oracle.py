@@ -46,7 +46,8 @@ allocated.
 
 Dressed states are matched inside their block, which keeps the assignment
 deterministic inside otherwise-degenerate excitation classes, and are
-returned as Dicke-basis vectors that are zero outside that block.  Sudden
+returned as Dicke-basis vectors over the rows of the cutoff they were solved
+at, zero outside that block; rows past a vector's end are zero.  Sudden
 overlaps are divided by sqrt(multiplicity) of the target class so they are
 quoted per target configuration, matching the closed-form convention.
 
@@ -79,13 +80,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import DLE_CHANNELS, _channel, amplitude_closed_form
+from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel, amplitude_closed_form
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SolverDiagnosticsError, TruncationHeadroomError)
 from .params import SystemParams
-
-#: Size of each excitation class, binom(3, m).
-CLASS_MULTIPLICITY = (1, 3, 3, 1)
 
 #: Minimum photon headroom between a dressed label and the cutoff.
 HEADROOM = 4
@@ -111,9 +109,10 @@ MAX_BLOCK_STATES = 10_000
 class DressedState:
     """Eigenstate continuously connected to an unperturbed Dicke label (n, m).
 
-    vector holds the Dicke-basis coefficients: length 4*(nmax+1), row
-    4*n + m, unit norm, zero outside the label's conserved-quantity block,
-    and positive at the label's row.
+    vector holds the Dicke-basis coefficients: length 4*(K+1) for the photon
+    cutoff K <= nmax it was solved at, row 4*n + m, unit norm, zero outside
+    the label's conserved-quantity block, and positive at the label's row.
+    Rows past its end, up to nmax photons, are zero.
     """
 
     eigenvalue: float
@@ -277,7 +276,7 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
         raise DegeneracyAmbiguityError(
             f"best overlap {overlaps[best]:.4f} with {label} is not dominant "
             f"(needs > {MIN_LABEL_OVERLAP:.4f}); state has lost its label character")
-    vector = np.zeros(4 * (p.nmax + 1))
+    vector = np.zeros(4 * (cutoff + 1))
     vector[rows] = v[:, best] * np.sign(v[target, best])
     return DressedState(
         eigenvalue=float(w[best]),
@@ -302,34 +301,14 @@ def _overlap_with_ground(ground: DressedState, n: int, m: int, p: SystemParams,
                          include_rwa: bool) -> float:
     """sudden_overlap(n, m, p, include_rwa), given its dressed ground state at omega1."""
     target = dressed_state(n, m, p, p.omega2, include_rwa)
-    return float(target.vector @ ground.vector) / math.sqrt(CLASS_MULTIPLICITY[m])
+    # the shorter vector is zero past its end, so the dot runs over the common rows
+    size = min(target.vector.size, ground.vector.size)
+    overlap = float(target.vector[:size] @ ground.vector[:size])
+    return overlap / math.sqrt(CLASS_MULTIPLICITY[m])
 
 
-def symmetric_class_shift(m: int, omega: float, p: SystemParams,
-                          include_rwa: bool = False) -> float:
-    """Degenerate second-order correction to the symmetric-combination energy.
-
-    The m = 1 and m = 2 classes are threefold degenerate, and second-order
-    cross terms through shared intermediates shift the symmetric combination
-    by 2*W_ab relative to the per-label closed form, with
-
-        W_ab = -lam^2/(omega + E0)                      (H0 + V)
-        W_ab = -lam^2/(omega + E0) - lam^2/(omega - E0)  (H0 + V + V_RWA)
-
-    independent of n.  Zero for the nondegenerate m = 0 and m = 3 classes.
-    """
-    if m in (0, 3):
-        return 0.0
-    w_ab = -p.lambda_ ** 2 / (omega + p.e0)
-    if include_rwa:
-        w_ab -= p.lambda_ ** 2 / (omega - p.e0)
-    return 2.0 * w_ab
-
-
-def convergence_study(p: SystemParams, nmax_list: list[int],
-                      include_rwa: bool = False,
-                      channels: tuple[tuple[int, int], ...] = DLE_CHANNELS):
-    """Sudden overlaps per channel across truncations.
+def convergence_study(p: SystemParams, nmax_list: list[int], include_rwa: bool = False):
+    """Sudden overlaps per channel in DLE_CHANNELS across truncations.
 
     Once a photon cutoff K is certified for every label (see the module
     docstring), the values for every nmax >= K are identical, bit for bit:
@@ -345,10 +324,10 @@ def convergence_study(p: SystemParams, nmax_list: list[int],
     if nmax_list != sorted(nmax_list) or len(nmax_list) < 2:
         raise ValueError("nmax_list must be ascending with at least two entries")
     rows = []
-    values: dict[tuple[int, int], list[float]] = {ch: [] for ch in channels}
+    values: dict[tuple[int, int], list[float]] = {ch: [] for ch in DLE_CHANNELS}
     for nm in nmax_list:
         p_nm = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_, nmax=nm)
-        for ch in channels:
+        for ch in DLE_CHANNELS:
             val = sudden_overlap(ch[0], ch[1], p_nm, include_rwa=include_rwa)
             values[ch].append(val)
             rows.append({"nmax": nm, "channel_n": ch[0], "channel_m": ch[1],
@@ -364,12 +343,12 @@ def convergence_study(p: SystemParams, nmax_list: list[int],
 
 
 def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
-                              include_rwa: bool = False,
-                              channels: tuple[tuple[int, int], ...] = DLE_CHANNELS):
+                              include_rwa: bool = False):
     """Oracle-vs-closed-form table over coupling scalings.
 
-    One row per (channel, scale): closed form and sudden overlap evaluated
-    at coupling scale * lambda, with their relative deviation.
+    One row per (scale, channel in DLE_CHANNELS): closed form and sudden
+    overlap evaluated at coupling scale * lambda, with their relative
+    deviation.
     """
     if any(s <= 0 for s in lambda_scales):
         raise ParameterDomainError("lambda scales must be positive")
@@ -379,7 +358,7 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)
         ground = dressed_state(0, 0, p_s, p_s.omega1, include_rwa)
-        for ch in channels:
+        for ch in DLE_CHANNELS:
             closed = amplitude_closed_form(ch[0], ch[1], p_s)
             orac = _overlap_with_ground(ground, ch[0], ch[1], p_s, include_rwa)
             # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)

@@ -166,15 +166,19 @@ def _json_table(table: Table, pad: str, child_pad: str, field_pad: str) -> str:
     return f"[\n{rows[:-2]}\n{pad}]" if rows else "[]"
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+#: One level of JSON nesting.
+_INDENT = "  "
+
+
+def json_dumps(obj) -> str:
     """Serialize nested dicts/lists/Tables/scalars with fixed float formatting."""
     out = io.StringIO()
 
     def emit(node, depth: int) -> None:
-        pad = " " * (indent * depth)
-        child_pad = " " * (indent * (depth + 1))
+        pad = _INDENT * depth
+        child_pad = _INDENT * (depth + 1)
         if isinstance(node, Table):
-            out.write(_json_table(node, pad, child_pad, " " * (indent * (depth + 2))))
+            out.write(_json_table(node, pad, child_pad, _INDENT * (depth + 2)))
         elif isinstance(node, dict):
             if not node:
                 out.write("{}")

@@ -3,7 +3,8 @@
 The package solves only the permutation-symmetric Dicke sector, labelled by
 (n, m).  The tests compare it against the full truncated photon (x)
 three-qubit product basis kept here, together with the first-order
-perturbed states and the overlap route to the closed-form amplitudes.
+perturbed states, the overlap route to the closed-form amplitudes, and the
+closed-form second-order energies (Lamb shifts) checked against both.
 
 Basis order is lexicographic in (n, q1 q2 q3 as a 3-bit integer, q1 most
 significant), so state |n; q1 q2 q3> sits at index 8*n + (4*q1 + 2*q2 + q3).
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dle3q.amplitudes import _channel
+from dle3q.amplitudes import CLASS_MULTIPLICITY, _channel, _integer
 from dle3q.errors import (ParameterDomainError, SolverDiagnosticsError,
                           TruncationHeadroomError)
-from dle3q.oracle import CLASS_MULTIPLICITY, _eigh_checked
+from dle3q.oracle import _eigh_checked
 from dle3q.params import SystemParams, guard_detuning
 
 #: Bit masks of the three qubit slots, q1 first.
@@ -157,13 +158,25 @@ def symmetrizer(nmax: int) -> np.ndarray:
 
     Column 4*n + m is the normalized uniform superposition of the
     binom(3, m) product states with n photons and m excited qubits, so
-    symmetrizer(nmax) @ dressed_state(...).vector is the product-space state.
+    symmetrizer(nmax) @ padded(dressed_state(...).vector, nmax) is the
+    product-space state.
     """
     cols = np.zeros((dimension(nmax), 4 * (nmax + 1)))
     for s in build_basis(nmax):
         m = s.excitation_count
         cols[index_of(s), 4 * s.photons + m] = 1.0 / math.sqrt(CLASS_MULTIPLICITY[m])
     return cols
+
+
+def padded(vector: np.ndarray, nmax: int) -> np.ndarray:
+    """A Dicke-basis vector extended with zeros to all 4*(nmax+1) rows.
+
+    dressed_state returns its vector over the rows of the photon cutoff it
+    was solved at; every row past that cutoff is zero.
+    """
+    out = np.zeros(4 * (nmax + 1))
+    out[:vector.size] = vector
+    return out
 
 
 def diagonalize_total(p: SystemParams, omega: float,
@@ -239,3 +252,103 @@ def amplitude_via_overlap(n: int, m: int, p: SystemParams,
     if (n, m) == (0, 0):
         value -= 1.0  # remove the zeroth-order survival term
     return value
+
+
+# -- closed-form second-order energies --------------------------------------
+#
+# Time-independent perturbation theory to second order in the coupling,
+# treating the full qubit-photon interaction as the perturbation on top of
+# H0.  All states within one excitation class (same number of excited
+# qubits) share the same energy expressions, so a class is named by its
+# Dicke label (n, m).
+#
+# For the threefold-degenerate classes m = 1, 2 these expressions are the
+# per-label (diagonal) second-order energies E, which are also the class
+# centroid: second-order cross terms W_ab through shared intermediates split
+# the class into the symmetric combination at E + 2*W_ab and two states at
+# E - W_ab, whose mean is E.  The symmetric state, which the oracle's
+# dressed matching returns, therefore sits at E + symmetric_class_shift.  As
+# E carries the full coupling, this holds for H0 + V + V_RWA; under H0 + V
+# alone it holds only at (n, m) = (1, 1), where the rotating-coupling terms
+# cancel.
+#
+# Per-class second-order energies decompose as
+#
+#     E(n, m) = n*omega + m*E0 + (3 - 2m) * 2*E0*n*lam^2 / (omega^2 - E0^2)
+#               + Lamb shift E_L,m(omega)
+#
+# with the photon-number-independent Lamb shifts
+#
+#     E_L,0 = -3 lam^2 / (omega + E0)     E_L,1 = lam^2 (E0 - 3 omega) / (omega^2 - E0^2)
+#     E_L,3 = -3 lam^2 / (omega - E0)     E_L,2 = -lam^2 (E0 + 3 omega) / (omega^2 - E0^2)
+
+
+def _excitation_count(m: int) -> int:
+    """m as a Python int, checked to count excited qubits: 0 <= m <= 3."""
+    m_int = _integer(m)
+    if m_int is None or not 0 <= m_int <= 3:
+        raise ParameterDomainError(
+            f"invalid excitation count m={m!r}: must be an integer in 0..3")
+    return m_int
+
+
+def lamb_shift(m: int, omega: float, p: SystemParams) -> float:
+    """Total Lamb shift of the m-excited class at cavity frequency omega.
+
+    Raises ParameterDomainError unless m is an integer in 0..3.
+    """
+    m = _excitation_count(m)
+    lam2 = p.lambda_ ** 2
+    if m == 0:
+        value = -3.0 * lam2 / (omega + p.e0)
+    else:
+        guard_detuning(omega, p.e0)
+        # (omega - E0)(omega + E0) keeps the detuning exact near resonance,
+        # where omega^2 - E0^2 would cancel.
+        if m == 1:
+            value = lam2 * (p.e0 - 3.0 * omega) / ((omega - p.e0) * (omega + p.e0))
+        elif m == 2:
+            value = -lam2 * (p.e0 + 3.0 * omega) / ((omega - p.e0) * (omega + p.e0))
+        else:
+            value = -3.0 * lam2 / (omega - p.e0)
+    return value
+
+
+def energy_second_order(n: int, m: int, omega: float, p: SystemParams) -> float:
+    """Second-order energy of the Dicke class (n, m) at frequency omega.
+
+    For the degenerate classes m = 1, 2 this is the per-label diagonal
+    energy, equal to the centroid of the three exact class eigenvalues of
+    H0 + V + V_RWA; the symmetric dressed state lies at this value plus
+    symmetric_class_shift(m, omega, p, include_rwa=True).  Raises
+    ParameterDomainError unless n >= 0 and 0 <= m <= 3 are integers.
+    """
+    n, m = _channel(n, m)
+    if m in (1, 2, 3) or n > 0:
+        guard_detuning(omega, p.e0)
+    dynamic = 0.0
+    if n > 0:
+        dynamic = ((3 - 2 * m) * 2.0 * p.e0 * n * p.lambda_ ** 2
+                   / ((omega - p.e0) * (omega + p.e0)))
+    return n * omega + m * p.e0 + dynamic + lamb_shift(m, omega, p)
+
+
+def symmetric_class_shift(m: int, omega: float, p: SystemParams,
+                          include_rwa: bool = False) -> float:
+    """Degenerate second-order correction to the symmetric-combination energy.
+
+    The m = 1 and m = 2 classes are threefold degenerate, and second-order
+    cross terms through shared intermediates shift the symmetric combination
+    by 2*W_ab relative to the per-label closed form, with
+
+        W_ab = -lam^2/(omega + E0)                      (H0 + V)
+        W_ab = -lam^2/(omega + E0) - lam^2/(omega - E0)  (H0 + V + V_RWA)
+
+    independent of n.  Zero for the nondegenerate m = 0 and m = 3 classes.
+    """
+    if m in (0, 3):
+        return 0.0
+    w_ab = -p.lambda_ ** 2 / (omega + p.e0)
+    if include_rwa:
+        w_ab -= p.lambda_ ** 2 / (omega - p.e0)
+    return 2.0 * w_ab

@@ -19,12 +19,11 @@ import numpy as np
 import pytest
 
 from dle3q import (SystemParams, amplitude_closed_form, compare_with_closed_forms,
-                   dressed_state, energy_second_order, entanglement_report,
-                   monogamy_residual, residual_tangle_general, shrink_factors,
-                   symmetric_class_shift)
+                   dressed_state, entanglement_report, monogamy_residual,
+                   residual_tangle_general, shrink_factors)
 from dle3q.cli import main
-from reference import (BasisState, diagonalize_total, dicke, index_of, perturbed_state,
-                       symmetrizer)
+from reference import (BasisState, diagonalize_total, dicke, energy_second_order, index_of,
+                       padded, perturbed_state, symmetric_class_shift, symmetrizer)
 
 PAPER = SystemParams(omega1=5.0, omega2=3.75, e0=3.721, lambda_=0.2)
 
@@ -224,7 +223,7 @@ def test_criterion_9_one_photon_class_eigenvalue():
 def test_criterion_9_ground_state_vector():
     ds = dressed_state(*dicke(GROUND), P9, P9.omega1, include_rwa=True)
     vec = _normalized_symmetric_first_order([GROUND])
-    diff = float(np.linalg.norm(symmetrizer(P9.nmax) @ ds.vector - vec))
+    diff = float(np.linalg.norm(symmetrizer(P9.nmax) @ padded(ds.vector, P9.nmax) - vec))
     report("9c (ground perturbed state vs oracle eigenvector <= 1e-4)",
            diff <= 1e-4, f"norm difference = {diff:.2e}")
 
@@ -232,6 +231,6 @@ def test_criterion_9_ground_state_vector():
 def test_criterion_9_one_photon_class_vector():
     ds = dressed_state(*dicke(ONE_PHOTON), P9, P9.omega1, include_rwa=True)
     vec = _normalized_symmetric_first_order(ONE_PHOTON_CLASS)
-    diff = float(np.linalg.norm(symmetrizer(P9.nmax) @ ds.vector - vec))
+    diff = float(np.linalg.norm(symmetrizer(P9.nmax) @ padded(ds.vector, P9.nmax) - vec))
     report("9d (one-photon-class perturbed state vs oracle eigenvector <= 1e-4)",
            diff <= 1e-4, f"norm difference = {diff:.2e}")

@@ -3,11 +3,11 @@ import pytest
 
 from dle3q import (ParameterDomainError, SingularityError, SystemParams,
                    amplitude_closed_form, amplitude_table, dressed_state,
-                   energy_second_order, entanglement_report)
+                   entanglement_report)
 from dle3q.amplitudes import DLE_CHANNELS
 from dle3q.cli import _report_doc
 from dle3q.oracle import sudden_overlap
-from reference import BasisState, amplitude_via_overlap
+from reference import BasisState, amplitude_via_overlap, energy_second_order
 
 
 def evaluate(p: SystemParams):

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from dle3q.cli import main
+from dle3q import cli
+from dle3q.cli import MAX_SWEEP_STEPS, main
 
 PAPER_FLAGS = ["--omega1-ghz", "5", "--omega2-ghz", "3.75",
                "--e0-ghz", "3.721", "--lambda-ghz", "0.2"]
@@ -147,6 +148,30 @@ class TestSweep:
         assert code == 2
         assert "steps" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("steps", ["9223372036854775807", "4611686018427387904",
+                                       "1000000000000"])
+    def test_too_many_steps_exits_2(self, capsys, steps, fmt):
+        # refused before the grid is built: numpy would return an empty grid
+        # for the first value and fail to allocate the other two
+        code, out, err = run(capsys, [*SWEEP_BASE, "--omega2-min-ghz", "3.73",
+                                      "--omega2-max-ghz", "4.5", "--steps", steps,
+                                      "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: steps must be <= {MAX_SWEEP_STEPS}, got {steps}\n"
+
+    def test_step_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 5)
+        grid = [*SWEEP_BASE, "--omega2-min-ghz", "3.73", "--omega2-max-ghz", "4.5"]
+        code, out, _ = run(capsys, [*grid, "--steps", "5"])
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 5
+        code, out, err = run(capsys, [*grid, "--steps", "6"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: steps must be <= 5, got 6\n"
+
     def test_deterministic_output(self, capsys):
         argv = [*SWEEP_BASE, "--omega2-min-ghz", "3.73",
                 "--omega2-max-ghz", "4.5", "--steps", "7", "--format", "csv"]
@@ -196,6 +221,18 @@ class TestValidate:
         _, out1, _ = run(capsys, [*VALIDATE_BASE, "--format", "csv"])
         _, out2, _ = run(capsys, [*VALIDATE_BASE, "--format", "csv"])
         assert out1 == out2
+
+    def test_huge_nmax_gives_the_certified_rows(self, capsys):
+        # every label certifies at 20 photons, and no vector is sized by nmax
+        code, out, err = run(capsys, [*VALIDATE_BASE, "--rwa", "on",
+                                      "--nmax", "10000000000"])
+        assert (code, err) == (0, "")
+        huge = json.loads(out)
+        small = json.loads(run(capsys, [*VALIDATE_BASE, "--rwa", "on", "--nmax", "20"])[1])
+        assert huge["inputs"]["nmax"] == 10 ** 10
+        assert all(row.pop("nmax") == 10 ** 10 for row in huge["rows"])
+        assert all(row.pop("nmax") == 20 for row in small["rows"])
+        assert huge["rows"] == small["rows"]
 
     def test_malformed_scales_exit_2(self, capsys):
         code, _, err = run(capsys, [*VALIDATE_BASE, "--lambda-scales", "1,abc"])

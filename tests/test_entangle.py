@@ -43,6 +43,12 @@ class TestResidualTangleGeneral:
         assert residual_tangle_general(scale * a) == pytest.approx(
             abs(scale) ** 4 * residual_tangle_general(a), rel=1e-9)
 
+    @pytest.mark.parametrize("count", [7, 9])
+    def test_coefficient_count_enforced(self, count):
+        a = [1.0] + [0.0] * (count - 2) + [5.0]
+        with pytest.raises(ValueError, match=f"expected 8 coefficients.*got {count}"):
+            residual_tangle_general(a)
+
     def test_permutation_invariance(self):
         for a in random_pure_states(20, seed=11):
             tensor = a.reshape(2, 2, 2)
@@ -208,6 +214,13 @@ class TestMixedConcurrence:
         with pytest.raises(ValueError):
             concurrence_mixed(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_guard(self, bad):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[1, 2] = rho[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrence_mixed(rho)
+
     def test_hermiticity_guard(self):
         rho = np.eye(4, dtype=complex) / 4
         rho[0, 1] = 0.3
@@ -233,6 +246,23 @@ class TestMonogamy:
     def test_normalization_enforced(self):
         with pytest.raises(NormalizationError):
             monogamy_residual(GHZ * 1.001)
+
+    @pytest.mark.parametrize("count", [7, 9])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_coefficient_count_enforced(self, count, normalized):
+        a = np.zeros(count)
+        a[0] = 1.0
+        with pytest.raises(ValueError):
+            monogamy_residual(a, normalized=normalized)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        state = GHZ.astype(complex)
+        state[3] = bad
+        with pytest.raises(NormalizationError):
+            monogamy_residual(state)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            monogamy_residual(state, normalized=False)
 
     def test_unnormalized_allowed_when_flagged(self):
         value = monogamy_residual(GHZ * 2.0, normalized=False)

@@ -10,12 +10,11 @@ from dle3q import (DegeneracyAmbiguityError, ParameterDomainError,
                    amplitude_closed_form, compare_with_closed_forms, convergence_study,
                    dressed_state, sudden_overlap)
 from dle3q import oracle
-from dle3q.amplitudes import DLE_CHANNELS
+from dle3q.amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS
 from dle3q.cli import main
-from dle3q.oracle import (CLASS_MULTIPLICITY, _block_hamiltonian, _symmetric_eig,
-                          shrink_factors)
+from dle3q.oracle import _block_hamiltonian, _symmetric_eig, shrink_factors
 from reference import (CLASS_REPRESENTATIVE, BasisState, build_basis, diagonalize_total,
-                       dicke, energy_unperturbed, hamiltonian_total, index_of,
+                       dicke, energy_unperturbed, hamiltonian_total, index_of, padded,
                        state_at, symmetrizer)
 
 W1, E0 = 5.0, 3.721
@@ -118,13 +117,13 @@ class TestBlockSolve:
         g_val, g_vec = _reference_dressed(ground, p, omega1, rwa)
         ds = dressed_state(*dicke(ground), p, omega1, include_rwa=rwa)
         assert abs(ds.eigenvalue - g_val) <= 1e-10
-        assert np.abs(s @ ds.vector - g_vec).max() <= 1e-10
+        assert np.abs(s @ padded(ds.vector, nmax) - g_vec).max() <= 1e-10
         for n, m in DLE_CHANNELS:
             label = BasisState(n, CLASS_REPRESENTATIVE[m])
             t_val, t_vec = _reference_dressed(label, p, omega2, rwa)
             ds = dressed_state(n, m, p, omega2, include_rwa=rwa)
             assert abs(ds.eigenvalue - t_val) <= 1e-10
-            assert np.abs(s @ ds.vector - t_vec).max() <= 1e-10
+            assert np.abs(s @ padded(ds.vector, nmax) - t_vec).max() <= 1e-10
             reference = float(t_vec @ g_vec) / math.sqrt(CLASS_MULTIPLICITY[m])
             assert abs(sudden_overlap(n, m, p, include_rwa=rwa) - reference) <= 1e-12
 
@@ -262,7 +261,7 @@ class TestCutoffLadder:
         assert solved_cutoffs == [20, 40]
         g_val, g_vec = _full_block_state(0, 0, p, W1, True)
         assert abs(ds.eigenvalue - g_val) <= 1e-12 * abs(g_val)
-        assert np.abs(ds.vector - g_vec).max() <= 1e-12
+        assert np.abs(padded(ds.vector, p.nmax) - g_vec).max() <= 1e-12
         rung_20 = np.zeros_like(g_vec)
         rung_20[rows] = v[:, np.argmax(np.abs(v[0]))]
         assert np.abs(np.abs(rung_20) - np.abs(g_vec)).max() > 1e-8
@@ -276,7 +275,7 @@ class TestCutoffLadder:
         g_val, g_vec = _full_block_state(0, 0, p, omega1, rwa)
         ds = dressed_state(0, 0, p, omega1, include_rwa=rwa)
         assert abs(ds.eigenvalue - g_val) <= 1e-12 * abs(g_val) + 1e-12
-        assert np.abs(ds.vector - g_vec).max() <= 1e-12
+        assert np.abs(padded(ds.vector, p.nmax) - g_vec).max() <= 1e-12
         for n, m in DLE_CHANNELS:
             full = _full_block_state(n, m, p, omega2, rwa)
             if full is None:
@@ -286,7 +285,7 @@ class TestCutoffLadder:
             t_val, t_vec = full
             ds = dressed_state(n, m, p, omega2, include_rwa=rwa)
             assert abs(ds.eigenvalue - t_val) <= 1e-12 * abs(t_val)
-            assert np.abs(ds.vector - t_vec).max() <= 1e-12
+            assert np.abs(padded(ds.vector, p.nmax) - t_vec).max() <= 1e-12
             reference = float(t_vec @ g_vec) / math.sqrt(CLASS_MULTIPLICITY[m])
             assert abs(sudden_overlap(n, m, p, include_rwa=rwa) - reference) <= 1e-15
 
@@ -368,12 +367,12 @@ class TestDressedState:
         ds = dressed_state(*dicke(label), tiny_coupling, omega=W1)
         assert ds.eigenvalue == pytest.approx(energy_unperturbed(label, W1, E0), abs=1e-9)
         assert ds.overlap_with_label == pytest.approx(1.0, abs=1e-9)
-        sym = sum(1 for x in symmetrizer(8) @ ds.vector if abs(x) > 1e-8)
+        sym = sum(1 for x in symmetrizer(8) @ padded(ds.vector, 8) if abs(x) > 1e-8)
         assert sym == 3  # the symmetric combination of the class
 
     def test_unit_norm_and_positive_phase(self, weak_params):
         ds = dressed_state(2, 2, weak_params, omega=4.5, include_rwa=True)
-        vec = symmetrizer(weak_params.nmax) @ ds.vector
+        vec = symmetrizer(weak_params.nmax) @ padded(ds.vector, weak_params.nmax)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert vec[index_of(BasisState(2, (1, 1, 0)))] > 0
         assert ds.overlap_with_label > 1 / math.sqrt(2)

@@ -11,7 +11,7 @@ import pytest
 import dle3q
 
 #: Modules whose public API the package re-exports; cli and serialize are front ends.
-LIBRARY_MODULES = ("amplitudes", "entangle", "errors", "oracle", "params", "perturb")
+LIBRARY_MODULES = ("amplitudes", "entangle", "errors", "oracle", "params")
 
 
 def test_every_export_resolves():
