@@ -14,9 +14,6 @@ from .entangle import (ClosedForms, SectorMeasures, concurrence_mixed,
 from .errors import (DegeneracyAmbiguityError, NormalizationError,
                      ParameterDomainError, SingularityError,
                      SolverDiagnosticsError, TruncationHeadroomError)
-from .oracle import (DressedState, compare_with_closed_forms,
-                     convergence_study, dressed_state, shrink_factors,
-                     sudden_overlap)
 from .params import SystemParams, ValidityReport, guard_detuning, validate_params
 
 __version__ = "0.1.0"
@@ -32,3 +29,15 @@ __all__ = [
     "normalized_sectors", "residual_tangle_general", "sector_measures",
     "shrink_factors", "sudden_overlap", "symmetric_sector", "validate_params",
 ]
+
+#: Names served from ``oracle``, which is imported on first access: only
+#: ``validate`` runs it, and ``python -m dle3q.cli`` always runs this file.
+_ORACLE_NAMES = frozenset({"DressedState", "compare_with_closed_forms", "convergence_study",
+                           "dressed_state", "shrink_factors", "sudden_overlap"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -352,6 +352,11 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     """
     if any(s <= 0 for s in lambda_scales):
         raise ParameterDomainError("lambda scales must be positive")
+    # nan and inf scales, and those that under- or overflow lambda * scale
+    bad = [s for s in lambda_scales if not 0.0 < p.lambda_ * s < math.inf]
+    if bad:
+        raise ParameterDomainError(
+            f"lambda scales must keep lambda * scale finite and > 0, got {bad}")
     if list(lambda_scales) != sorted(lambda_scales, reverse=True):
         raise ParameterDomainError("lambda scales must descend, e.g. 1, 0.5, 0.25")
     rows = []

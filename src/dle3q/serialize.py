@@ -11,7 +11,10 @@ emitter would write at that depth; ``csv_lines`` accepts it as its rows. The
 whole table is built as one ``uint8`` matrix with one row per table row: the
 literal pieces between values (the JSON field prefixes, the CSV commas and
 newline) fill fixed columns, and each value fills a fixed-width slot of ASCII
-codes. Unused slot bytes are NUL, and one ``bytes.replace`` drops them.
+codes. The matrix is a view of one ``bytearray``; unused slot bytes are NUL,
+and one ``bytearray.replace`` on it drops them, which leaves the UTF-8 text
+to decode once. ``json_dumps`` and ``csv_lines`` collect their text as a
+list of parts and join it once.
 ``_float_codes`` fills the float slots as a vectorized ``%.9e``; the few
 values it cannot round with certainty go through ``format_float``, so the
 bytes are those of the per-value emitter that ``report`` and ``validate``
@@ -21,7 +24,6 @@ otherwise), and -0.0 prints as 0.0.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -87,13 +89,15 @@ def _float_codes(x: np.ndarray) -> np.ndarray:
     """
     a = np.abs(x)
     nonzero = a > 0
-    # log10 can miss by one next to a power of ten, so e moves until
-    # s = a * 10**(9 - e) lies in [1e9, 1e10); a zero keeps e = 0.
+    # log10 can miss by one next to a power of ten, so on the rows where
+    # s = a * 10**(9 - e) falls outside [1e9, 1e10) e moves by one and s is
+    # recomputed; a zero keeps e = 0.
     e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
     s = a * np.power(10.0, np.clip(9 - e, -300, 300))
-    e += (s >= 1e10).astype(np.int64) - ((s < 1e9) & nonzero)
+    off = np.flatnonzero((s >= 1e10) | ((s < 1e9) & nonzero))
+    e[off] += np.where(s[off] >= 1e10, 1, -1)
+    s[off] = a[off] * np.power(10.0, np.clip(9 - e[off], -300, 300))
     k = 9 - e
-    s = a * np.power(10.0, np.clip(k, -300, 300))
     d = np.rint(s)
     carry = d >= 1e10
     d[carry] = 1e9
@@ -135,12 +139,13 @@ def _cell_codes(values: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported column dtype {values.dtype}")
 
 
-def _table_text(columns, pieces: list[str]) -> str:
-    """Every row as pieces[0], cell 0, pieces[1], ..., cell k-1, pieces[k], rows joined.
+def _table_text(columns, pieces: list[str]) -> bytearray:
+    """Every row as pieces[0], cell 0, pieces[1], ..., cell k-1, pieces[k], in UTF-8.
 
-    The rows are one uint8 matrix: every row starts as a copy of one template
-    row that holds the pieces and a NUL slot per cell, and each column's
-    codes then fill its slots. Dropping every NUL leaves the text.
+    The rows are one uint8 matrix over a bytearray: every row starts as a
+    copy of one template row that holds the pieces and a NUL slot per cell,
+    and each column's codes then fill its slots. Dropping every NUL from the
+    bytearray leaves the text.
     """
     if any("\0" in piece for piece in pieces):
         raise ValueError("table column names must not contain NUL")
@@ -149,62 +154,68 @@ def _table_text(columns, pieces: list[str]) -> str:
     for cell, piece in zip(cells, pieces[1:]):
         slots.append(slice(len(template), len(template) + cell.shape[1]))
         template += bytes(cell.shape[1]) + piece.encode()
-    matrix = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
+    text = bytearray(len(cells[0]) * len(template))
+    matrix = np.frombuffer(text, dtype=np.uint8).reshape(len(cells[0]), len(template))
     matrix[:] = np.frombuffer(template, dtype=np.uint8)
     for cell, slot in zip(cells, slots):
         matrix[:, slot] = cell
-    return matrix.tobytes().replace(b"\0", b"").decode()
+    del cells  # freed before the NUL-free copy is allocated
+    return text.replace(b"\0", b"")
 
 
-def _json_table(table: Table, pad: str, child_pad: str, field_pad: str) -> str:
+def _json_table(table: Table, pad: str, child_pad: str, field_pad: str) -> list[str]:
+    """The parts of a Table's JSON text at one nesting depth."""
     first, *rest = table.columns
     pieces = ([f'{child_pad}{{\n{field_pad}"{first}": ']
               + [f',\n{field_pad}"{name}": ' for name in rest]
               + [f"\n{child_pad}}},\n"])
     rows = _table_text(table.columns.values(), pieces)
+    if not rows:
+        return ["[]"]
     # the last row ends in "\n" + pad + "]" instead of ",\n"
-    return f"[\n{rows[:-2]}\n{pad}]" if rows else "[]"
+    return ["[\n", str(memoryview(rows)[:-2], "utf-8"), f"\n{pad}]"]
 
 
 #: One level of JSON nesting.
 _INDENT = "  "
 
 
+def _emit(node, depth: int, parts: list[str]) -> None:
+    """Append the JSON text of node, nested depth levels deep, to parts."""
+    pad = _INDENT * depth
+    child_pad = _INDENT * (depth + 1)
+    if isinstance(node, Table):
+        parts.extend(_json_table(node, pad, child_pad, _INDENT * (depth + 2)))
+    elif isinstance(node, dict):
+        if not node:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        for i, (key, value) in enumerate(node.items()):
+            parts.append(f'{child_pad}"{key}": ')
+            _emit(value, depth + 1, parts)
+            parts.append(",\n" if i < len(node) - 1 else "\n")
+        parts.append(pad + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            parts.append("[]")
+            return
+        parts.append("[\n")
+        for i, value in enumerate(node):
+            parts.append(child_pad)
+            _emit(value, depth + 1, parts)
+            parts.append(",\n" if i < len(node) - 1 else "\n")
+        parts.append(pad + "]")
+    else:
+        parts.append(_format_value(node))
+
+
 def json_dumps(obj) -> str:
     """Serialize nested dicts/lists/Tables/scalars with fixed float formatting."""
-    out = io.StringIO()
-
-    def emit(node, depth: int) -> None:
-        pad = _INDENT * depth
-        child_pad = _INDENT * (depth + 1)
-        if isinstance(node, Table):
-            out.write(_json_table(node, pad, child_pad, _INDENT * (depth + 2)))
-        elif isinstance(node, dict):
-            if not node:
-                out.write("{}")
-                return
-            out.write("{\n")
-            for i, (key, value) in enumerate(node.items()):
-                out.write(f'{child_pad}"{key}": ')
-                emit(value, depth + 1)
-                out.write(",\n" if i < len(node) - 1 else "\n")
-            out.write(pad + "}")
-        elif isinstance(node, (list, tuple)):
-            if not node:
-                out.write("[]")
-                return
-            out.write("[\n")
-            for i, value in enumerate(node):
-                out.write(child_pad)
-                emit(value, depth + 1)
-                out.write(",\n" if i < len(node) - 1 else "\n")
-            out.write(pad + "]")
-        else:
-            out.write(_format_value(node))
-
-    emit(obj, 0)
-    out.write("\n")
-    return out.getvalue()
+    parts: list[str] = []
+    _emit(obj, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def csv_lines(header: list[str], rows: list[list] | Table) -> str:
@@ -213,13 +224,11 @@ def csv_lines(header: list[str], rows: list[list] | Table) -> str:
     None becomes an empty cell and strings are written as they are.  A Table
     as rows gives its columns in header order.
     """
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
+    parts = [",".join(header) + "\n"]
     if isinstance(rows, Table):
-        out.write(_table_text([rows.columns[name] for name in header],
-                              ["", *[","] * (len(header) - 1), "\n"]))
+        parts.append(str(_table_text([rows.columns[name] for name in header],
+                                     ["", *[","] * (len(header) - 1), "\n"]), "utf-8"))
     else:
-        for row in rows:
-            out.write(",".join("" if v is None else v if isinstance(v, str) else _format_value(v)
-                               for v in row) + "\n")
-    return out.getvalue()
+        parts.extend(",".join("" if v is None else v if isinstance(v, str) else _format_value(v)
+                              for v in row) + "\n" for row in rows)
+    return "".join(parts)

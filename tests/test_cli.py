@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -172,6 +175,21 @@ class TestSweep:
         assert out == ""
         assert err == "error: steps must be <= 5, got 6\n"
 
+    @pytest.mark.parametrize("fmt,budget", [("json", 3.25), ("csv", 4.5)])
+    def test_peak_memory_within_copy_budget(self, fmt, budget):
+        # the table text is copied a fixed number of times on its way to stdout
+        argv = [*SWEEP_BASE, "--omega2-min-ghz", "3.0", "--omega2-max-ghz", "4.5",
+                "--steps", "20000", "--format", fmt]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= budget * len(out.getvalue())
+
     def test_deterministic_output(self, capsys):
         argv = [*SWEEP_BASE, "--omega2-min-ghz", "3.73",
                 "--omega2-max-ghz", "4.5", "--steps", "7", "--format", "csv"]
@@ -246,6 +264,17 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err == "error: lambda scales must be positive\n"
+
+    @pytest.mark.parametrize("scales,bad", [("1,nan", "nan"), ("inf,1", "inf"),
+                                            ("1,1e-320", "1e-320")])
+    def test_non_finite_scales_named(self, capsys, scales, bad):
+        # at lambda 1e-5 GHz the scale 1e-320 underflows lambda * scale to 0
+        code, out, err = run(capsys, [*VALIDATE_BASE, "--lambda-ghz", "1e-5",
+                                      "--lambda-scales", scales])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: lambda scales must keep lambda * scale finite and > 0, "
+                       f"got [{bad}]\n")
 
     def test_vanishing_closed_form_fails_gate(self, capsys):
         # omega2 = omega1 makes the gated channel's closed form zero; the

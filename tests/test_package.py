@@ -42,3 +42,27 @@ def test_cli_loads_no_product_space():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines() == ["False", "[]"]
+
+
+def test_oracle_loads_on_first_use():
+    # report, sweep and --help never import the oracle; validate does
+    probe = ("import contextlib, io, sys\n"
+             "from dle3q import cli\n"
+             "point = ['--omega1-ghz', '5', '--e0-ghz', '3.721', '--lambda-ghz', '0.02']\n"
+             "grid = ['--omega2-min-ghz', '4', '--omega2-max-ghz', '4.5']\n"
+             "for argv in (['report', *point, '--omega2-ghz', '4.5'], ['sweep', *point, *grid],\n"
+             "             ['--help'], ['validate', *point, '--omega2-ghz', '4.5']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        try:\n"
+             "            cli.main(argv)\n"
+             "        except SystemExit:\n"
+             "            pass\n"
+             "    print(argv[0], 'dle3q.oracle' in sys.modules)\n"
+             "import dle3q\n"
+             "print(dle3q.dressed_state is dle3q.oracle.dressed_state)\n")
+    src = str(Path(dle3q.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == ["report False", "sweep False", "--help False",
+                                "validate True", "True"]

@@ -106,6 +106,15 @@ def test_edge_floats_match_format_float():
     assert csv_lines(["x"], Table({"x": np.array(values)})) == expected
 
 
+def test_powers_of_ten_match_format_float():
+    # log10 of a power of ten or of its float neighbours can miss the decimal
+    # exponent by one; those rows take the corrected power of ten
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    values = [y for x in powers for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    expected = "x\n" + "".join(f"{format_float(v)}\n" for v in values)
+    assert csv_lines(["x"], Table({"x": np.array(values)})) == expected
+
+
 def sample_table() -> Table:
     return Table({"x": np.array([1.5, -0.0]), "ok": np.array([True, False])})
 
