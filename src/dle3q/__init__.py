@@ -24,7 +24,7 @@ __all__ = [
     "SingularityError", "SolverDiagnosticsError", "SystemParams",
     "TruncationHeadroomError", "ValidityReport", "amplitude_closed_form",
     "amplitude_table", "compare_with_closed_forms", "concurrence_mixed",
-    "concurrence_pair_general", "convergence_study", "dressed_state",
+    "concurrence_pair_general", "dressed_state",
     "entanglement_report", "guard_detuning", "monogamy_residual",
     "normalized_sectors", "residual_tangle_general", "sector_measures",
     "shrink_factors", "sudden_overlap", "symmetric_sector", "validate_params",
@@ -32,8 +32,8 @@ __all__ = [
 
 #: Names served from ``oracle``, which is imported on first access: only
 #: ``validate`` runs it, and ``python -m dle3q.cli`` always runs this file.
-_ORACLE_NAMES = frozenset({"DressedState", "compare_with_closed_forms", "convergence_study",
-                           "dressed_state", "shrink_factors", "sudden_overlap"})
+_ORACLE_NAMES = frozenset({"DressedState", "compare_with_closed_forms", "dressed_state",
+                           "shrink_factors", "sudden_overlap"})
 
 
 def __getattr__(name: str):

@@ -52,7 +52,13 @@ def _collect_params(args, need_omega2: bool = True) -> SystemParams:
     flat: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            flat.update(json.load(fh))
+            try:
+                config = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ParameterDomainError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ParameterDomainError(f"--config {args.config} does not hold a JSON object")
+        flat.update(config)
     for key in _PARAM_FLAGS:
         value = getattr(args, key, None)
         if value is not None:
@@ -128,11 +134,6 @@ def _report_doc(p: SystemParams) -> dict:
     }
 
 
-#: Overflow surfaces as inf or nan, which _require_finite turns into exit code 2.
-_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
-
-
-@_QUIET_OVERFLOW
 def cmd_report(args) -> int:
     doc = _report_doc(_collect_params(args))
     if args.format == "json":
@@ -190,7 +191,6 @@ def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
     return json_dumps(doc), flags
 
 
-@_QUIET_OVERFLOW
 def cmd_sweep(args) -> int:
     p_base = _collect_params(args, need_omega2=False)
     lo, hi, steps = args.omega2_min_ghz, args.omega2_max_ghz, args.steps
@@ -290,14 +290,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # overflow surfaces as inf or nan, which every command turns into exit code 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ParameterDomainError, SingularityError, TruncationHeadroomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverDiagnosticsError, DegeneracyAmbiguityError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,7 @@ most 3 photons above the label) never reaches n = K: every rung holds the
 same matrix as the nmax block, the residual is exactly 0, and the result is
 the nmax solve bit for bit.  A rung whose block would exceed
 MAX_BLOCK_STATES states is refused with ParameterDomainError before it is
-allocated.
+allocated, and one whose matrix norm overflows before it is solved.
 
 Dressed states are matched inside their block, which keeps the assignment
 deterministic inside otherwise-degenerate excitation classes, and are
@@ -74,7 +74,6 @@ lambda -> 0, and it is the gated channel.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,7 +111,9 @@ class DressedState:
     vector holds the Dicke-basis coefficients: length 4*(K+1) for the photon
     cutoff K <= nmax it was solved at, row 4*n + m, unit norm, zero outside
     the label's conserved-quantity block, and positive at the label's row.
-    Rows past its end, up to nmax photons, are zero.
+    Rows past its end, up to nmax photons, are zero.  The row count thus
+    says where the cutoff ladder stopped: K = vector.size // 4 - 1, the
+    first rung that certified, or nmax if none below it did.
     """
 
     eigenvalue: float
@@ -209,6 +210,10 @@ def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
                    include_rwa: bool, block: int):
     """Checked eigendecomposition of one block of H: (w, v, Dicke rows)."""
     rows, h = _block_hamiltonian(omega, e0, lam, cutoff, include_rwa, block)
+    if not np.isfinite(np.linalg.norm(h)):
+        raise ParameterDomainError(
+            f"the Hamiltonian block at omega={omega}, lambda={lam} has no finite norm "
+            "(input outside double-precision range)")
     w, v = _eigh_checked(h)
     for a in (w, v, rows):
         a.setflags(write=False)
@@ -237,7 +242,8 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
     m outside 0..3 raises ParameterDomainError.  Only the conserved-quantity
     block holding the label is diagonalized, on the ladder of photon
     cutoffs described in the module docstring; a rung whose block would
-    exceed MAX_BLOCK_STATES states raises ParameterDomainError.  The match
+    exceed MAX_BLOCK_STATES states, or whose matrix norm overflows double
+    precision, raises ParameterDomainError.  The match
     maximizes |overlap| with the label's row within the block; it must be
     dominant (> 1/sqrt(2)) and separated from the runner-up (0 in a
     one-state block) by at least MIN_MATCH_MARGIN, otherwise a
@@ -305,41 +311,6 @@ def _overlap_with_ground(ground: DressedState, n: int, m: int, p: SystemParams,
     size = min(target.vector.size, ground.vector.size)
     overlap = float(target.vector[:size] @ ground.vector[:size])
     return overlap / math.sqrt(CLASS_MULTIPLICITY[m])
-
-
-def convergence_study(p: SystemParams, nmax_list: list[int], include_rwa: bool = False):
-    """Sudden overlaps per channel in DLE_CHANNELS across truncations.
-
-    Once a photon cutoff K is certified for every label (see the module
-    docstring), the values for every nmax >= K are identical, bit for bit:
-    each is solved at the same cutoff, and the solve is cached.
-
-    Returns (rows, summary): rows are dicts with keys nmax, channel_n,
-    channel_m, value; summary maps each channel to {"converged", "monotone"}
-    where converged means the last successive difference is below 1e-10
-    relative (values below 1e-14 count as converged zeros) and monotone
-    reports whether |successive difference| never grew along the list.
-    """
-    nmax_list = [operator.index(nm) for nm in nmax_list]
-    if nmax_list != sorted(nmax_list) or len(nmax_list) < 2:
-        raise ValueError("nmax_list must be ascending with at least two entries")
-    rows = []
-    values: dict[tuple[int, int], list[float]] = {ch: [] for ch in DLE_CHANNELS}
-    for nm in nmax_list:
-        p_nm = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_, nmax=nm)
-        for ch in DLE_CHANNELS:
-            val = sudden_overlap(ch[0], ch[1], p_nm, include_rwa=include_rwa)
-            values[ch].append(val)
-            rows.append({"nmax": nm, "channel_n": ch[0], "channel_m": ch[1],
-                         "value": val})
-    summary = {}
-    for ch, vals in values.items():
-        diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
-        tiny = abs(vals[-1]) <= 1e-14 and abs(vals[-2]) <= 1e-14
-        converged = tiny or diffs[-1] <= 1e-10 * max(abs(vals[-1]), 1e-14)
-        monotone = all(d2 <= d1 or d2 <= 1e-14 for d1, d2 in zip(diffs, diffs[1:]))
-        summary[ch] = {"converged": converged, "monotone": monotone}
-    return rows, summary
 
 
 def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -85,6 +86,17 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert "nmax must be an integer" in err
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'"x"', b"3", b'[["omega1_ghz", 5]]',
+                                         b"\xff\xfe{}"])
+    def test_config_not_an_object_exits_2(self, capsys, tmp_path, content):
+        config = tmp_path / "params.json"
+        config.write_bytes(content)
+        code, out, err = run(capsys, ["report", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --config {config}")
+        assert err.count("\n") == 1
 
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "params.json"
@@ -306,9 +318,17 @@ class TestFiniteInputs:
           "--omega2-max-ghz", "inf"], 2),
         (["sweep", *POINT, "--lambda-ghz", "0.2", "--omega2-min-ghz", "nan",
           "--omega2-max-ghz", "4"], 2),
+        (["validate", *POINT, "--omega2-ghz", "4.5", "--lambda-ghz", "1e300"], 2),
+        (["validate", "--omega1-ghz", "1e300", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
+          "--lambda-ghz", "0.02"], 2),
     ])
     def test_no_traceback(self, capsys, argv, code):
-        got, out, err = run(capsys, argv)
+        # a cold process would print each warning on stderr; here they are recorded
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run(capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err
         assert got == code
         if code == 0:
             floats = []

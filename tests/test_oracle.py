@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dle3q import (DegeneracyAmbiguityError, ParameterDomainError,
                    SolverDiagnosticsError, SystemParams, TruncationHeadroomError,
-                   amplitude_closed_form, compare_with_closed_forms, convergence_study,
-                   dressed_state, sudden_overlap)
+                   amplitude_closed_form, compare_with_closed_forms, dressed_state,
+                   sudden_overlap)
 from dle3q import oracle
 from dle3q.amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS
 from dle3q.cli import main
@@ -239,17 +239,6 @@ class TestCutoffLadder:
         assert ds.eigenvalue == w[col]
         assert np.array_equal(ds.vector[rows], v[:, col] * np.sign(v[target, col]))
 
-    def test_convergence_study_identical_once_certified(self):
-        _symmetric_eig.cache_clear()
-        p = SystemParams(W1, 4.5, E0, 0.02)
-        rows, summary = convergence_study(p, [24, 48, 96], include_rwa=True)
-        for channel in DLE_CHANNELS:
-            values = {r["value"] for r in rows if (r["channel_n"], r["channel_m"]) == channel}
-            assert len(values) == 1
-            assert summary[channel]["converged"]
-        # one even-parity block at omega1 and one at omega2, both at cutoff 20
-        assert _symmetric_eig.cache_info().misses == 2
-
     def test_truncation_residual_climbs_the_ladder(self, solved_cutoffs):
         # at lam 2 with V_RWA the ground state keeps its label (overlap 0.72)
         # at 20 photons, but its 20-photon tail still couples onward, with a
@@ -471,31 +460,15 @@ class TestSuddenOverlap:
         assert sudden_overlap(2, 2, p, include_rwa=False) == pytest.approx(
             exact_second_order, rel=1e-3)
 
-
-class TestConvergenceStudy:
-    def test_converged_by_nmax16_at_paper_point(self, paper_params):
-        rows, summary = convergence_study(paper_params, [8, 12, 16, 20])
-        assert all(entry["converged"] for entry in summary.values())
-        last = {(r["channel_n"], r["channel_m"]): r["value"]
-                for r in rows if r["nmax"] == 16}
-        final = {(r["channel_n"], r["channel_m"]): r["value"]
-                 for r in rows if r["nmax"] == 20}
-        for channel, value in final.items():
-            assert last[channel] == pytest.approx(value, rel=1e-9, abs=1e-13)
-
-    def test_vanishing_coupling_converges_immediately(self, tiny_coupling):
-        _, summary = convergence_study(tiny_coupling, [6, 7, 8])
-        assert all(entry["converged"] and entry["monotone"] for entry in summary.values())
-
-    def test_requires_ascending_list(self, paper_params):
-        with pytest.raises(ValueError):
-            convergence_study(paper_params, [20, 8])
-
-    def test_requires_integer_nmax(self, paper_params, tiny_coupling):
-        with pytest.raises(TypeError):
-            convergence_study(paper_params, [8, 12.7])
-        rows, _ = convergence_study(tiny_coupling, [np.int64(6), np.int64(7)])
-        assert [type(r["nmax"]) for r in rows[::4]] == [int, int]
+    @pytest.mark.parametrize("omega2,lam,nmaxes", [(3.75, 0.2, (8, 12, 16, 20)),
+                                                   (4.5, 1e-300, (6, 7, 8))],
+                             ids=["paper_point", "vanishing_coupling"])
+    def test_v_only_overlaps_independent_of_nmax(self, omega2, lam, nmaxes):
+        # an H0 + V block holds at most 4 states, all of them inside each of
+        # these cutoffs, so truncation cannot move a single bit
+        values = [[sudden_overlap(n, m, SystemParams(W1, omega2, E0, lam, nmax=nmax)).hex()
+                   for n, m in DLE_CHANNELS] for nmax in nmaxes]
+        assert values == [values[0]] * len(nmaxes)
 
 
 class TestCompareTable:
