@@ -209,8 +209,10 @@ def _certified(overlap: float, w: np.ndarray, vector: np.ndarray, rows: np.ndarr
 def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
                    include_rwa: bool, block: int):
     """Checked eigendecomposition of one block of H: (w, v, Dicke rows)."""
-    rows, h = _block_hamiltonian(omega, e0, lam, cutoff, include_rwa, block)
-    if not np.isfinite(np.linalg.norm(h)):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        rows, h = _block_hamiltonian(omega, e0, lam, cutoff, include_rwa, block)
+        finite = np.isfinite(np.linalg.norm(h))
+    if not finite:
         raise ParameterDomainError(
             f"the Hamiltonian block at omega={omega}, lambda={lam} has no finite norm "
             "(input outside double-precision range)")
@@ -319,8 +321,12 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
 
     One row per (scale, channel in DLE_CHANNELS): closed form and sudden
     overlap evaluated at coupling scale * lambda, with their relative
-    deviation.
+    deviation.  The scales must number at least two, be positive, keep
+    lambda * scale finite and > 0, and strictly descend, so that
+    shrink_factors has a factor to gate; otherwise ParameterDomainError.
     """
+    if len(lambda_scales) < 2:
+        raise ParameterDomainError("need at least two lambda scales")
     if any(s <= 0 for s in lambda_scales):
         raise ParameterDomainError("lambda scales must be positive")
     # nan and inf scales, and those that under- or overflow lambda * scale
@@ -328,8 +334,8 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     if bad:
         raise ParameterDomainError(
             f"lambda scales must keep lambda * scale finite and > 0, got {bad}")
-    if list(lambda_scales) != sorted(lambda_scales, reverse=True):
-        raise ParameterDomainError("lambda scales must descend, e.g. 1, 0.5, 0.25")
+    if not all(a > b for a, b in zip(lambda_scales, lambda_scales[1:])):
+        raise ParameterDomainError("lambda scales must strictly descend, e.g. 1, 0.5, 0.25")
     rows = []
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)

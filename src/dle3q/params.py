@@ -10,11 +10,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import ParameterDomainError
 
-#: Keys of the flat JSON parameter document accepted by the CLI.
+#: Keys of the flat JSON parameter document, in SystemParams field order; the
+#: CLI's parameter flags are these keys with dashes.
 JSON_KEYS = ("omega1_ghz", "omega2_ghz", "e0_ghz", "lambda_ghz", "nmax")
 
 #: Relative guard band around omega = E0 below which closed forms refuse to
@@ -75,22 +76,11 @@ class SystemParams:
         missing = [k for k in JSON_KEYS[:4] if k not in d]
         if missing:
             raise ParameterDomainError(f"missing parameter keys: {missing}")
-        return cls(
-            omega1=d["omega1_ghz"],
-            omega2=d["omega2_ghz"],
-            e0=d["e0_ghz"],
-            lambda_=d["lambda_ghz"],
-            nmax=d.get("nmax", 20),
-        )
+        # positional in field order; an absent nmax keeps its default
+        return cls(*(d[k] for k in JSON_KEYS if k in d))
 
     def to_flat_dict(self) -> dict:
-        return {
-            "omega1_ghz": self.omega1,
-            "omega2_ghz": self.omega2,
-            "e0_ghz": self.e0,
-            "lambda_ghz": self.lambda_,
-            "nmax": self.nmax,
-        }
+        return dict(zip(JSON_KEYS, astuple(self)))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 from dle3q import cli
 from dle3q.cli import MAX_SWEEP_STEPS, main
+from dle3q.params import JSON_KEYS
 
 PAPER_FLAGS = ["--omega1-ghz", "5", "--omega2-ghz", "3.75",
                "--e0-ghz", "3.721", "--lambda-ghz", "0.2"]
@@ -18,6 +19,18 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["report", "sweep", "validate"])
+def test_help_lists_parameter_flags_in_key_order(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    flags = ["--omega1-ghz", "--omega2-ghz", "--e0-ghz", "--lambda-ghz", "--nmax"]
+    assert flags == ["--" + key.replace("_", "-") for key in JSON_KEYS]
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    listed = [line.split()[0] for line in options.splitlines() if line.startswith("  --")]
+    assert [flag for flag in listed if flag in flags] == flags
 
 
 class TestReport:
@@ -52,10 +65,11 @@ class TestReport:
         assert len(measures) == len(lines) - 1  # one row per (n, measure)
 
     def test_missing_flag_exits_2_naming_it(self, capsys):
-        code, _, err = run(capsys, ["report", "--omega1-ghz", "5",
-                                    "--e0-ghz", "3.721", "--lambda-ghz", "0.2"])
-        assert code == 2
-        assert "--omega2-ghz" in err
+        for flag in ("--omega2-ghz", "--e0-ghz"):
+            at = PAPER_FLAGS.index(flag)
+            code, out, err = run(capsys, ["report", *PAPER_FLAGS[:at], *PAPER_FLAGS[at + 2:]])
+            assert (code, out) == (2, "")
+            assert err == f"error: missing required parameter flag(s): {flag}\n"
 
     def test_bad_domain_exits_2_naming_field(self, capsys):
         code, _, err = run(capsys, ["report", "--omega1-ghz", "5", "--omega2-ghz", "-1",
@@ -97,6 +111,14 @@ class TestReport:
         assert out == ""
         assert err.startswith(f"error: --config {config}")
         assert err.count("\n") == 1
+
+    def test_config_unknown_key_exits_2_naming_it(self, capsys, tmp_path):
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps({"omega1_ghz": 5.0, "omega2_ghz": 3.75, "e0_ghz": 3.721,
+                                      "lambda_ghz": 0.2, "coupling_ghz": 0.2}))
+        code, out, err = run(capsys, ["report", "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err == "error: unknown parameter keys: ['coupling_ghz']\n"
 
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "params.json"
@@ -148,8 +170,7 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--e0-ghz", "3.721", "--lambda-ghz", "0.2",
                                     "--omega2-min-ghz", "3.73", "--omega2-max-ghz", "4.5"])
         assert code == 2
-        assert "--omega1-ghz" in err
-        assert "--omega2-ghz" not in err
+        assert err == "error: missing required parameter flag(s): --omega1-ghz\n"
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, [*SWEEP_BASE, "--omega2-min-ghz", "4.5",
@@ -232,9 +253,9 @@ class TestValidate:
         assert doc["gated_channels"] == [[1, 1]]
 
     def test_ascending_scales_exit_2(self, capsys):
-        code, _, err = run(capsys, [*VALIDATE_BASE, "--lambda-scales", "0.25,0.5,1"])
-        assert code == 2
-        assert "descend" in err
+        code, out, err = run(capsys, [*VALIDATE_BASE, "--lambda-scales", "0.25,0.5,1"])
+        assert (code, out) == (2, "")
+        assert err == "error: lambda scales must strictly descend, e.g. 1, 0.5, 0.25\n"
 
     def test_tiny_nmax_headroom_exit_2(self, capsys):
         code, _, err = run(capsys, [*VALIDATE_BASE, "--nmax", "2"])
@@ -269,13 +290,17 @@ class TestValidate:
         assert code == 2
         assert "lambda-scales" in err
 
-    @pytest.mark.parametrize("scales", ["1,-1", "1,0"])
-    def test_nonpositive_scales_exit_2(self, capsys, scales):
-        # exit 1 is reserved for a failed gate
+    @pytest.mark.parametrize("scales,message", [
+        ("1,-1", "lambda scales must be positive"),
+        ("1,0", "lambda scales must be positive"),
+        ("1", "need at least two lambda scales"),
+        ("1,1", "lambda scales must strictly descend, e.g. 1, 0.5, 0.25"),
+    ], ids=["1,-1", "1,0", "1", "1,1"])
+    def test_unusable_scales_exit_2(self, capsys, scales, message):
+        # exit 1 is reserved for a failed gate, which these scales cannot reach
         code, out, err = run(capsys, [*VALIDATE_BASE, "--lambda-scales", scales])
-        assert code == 2
-        assert out == ""
-        assert err == "error: lambda scales must be positive\n"
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("scales,bad", [("1,nan", "nan"), ("inf,1", "inf"),
                                             ("1,1e-320", "1e-320")])

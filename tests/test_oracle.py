@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,13 @@ class TestDressedState:
         with pytest.raises(TruncationHeadroomError):
             dressed_state(2, 0, p, omega=W1)
 
+    def test_overflowing_block_refused_without_warning(self):
+        p = SystemParams(W1, 4.5, E0, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError, match="no finite norm"):
+                dressed_state(0, 0, p, omega=W1)
+
     def test_lost_label_character_raises(self):
         # deep ultrastrong coupling: no eigenvector keeps a dominant label
         p = SystemParams(W1, 3.75, E0, 3.0, nmax=16)
@@ -479,9 +487,11 @@ class TestCompareTable:
         assert set(rows[0]) == {"channel_n", "channel_m", "closed_form", "oracle",
                                 "rel_dev", "nmax", "lambda_scale", "include_rwa"}
 
-    def test_rejects_ascending_scales(self, paper_params):
-        with pytest.raises(ValueError):
-            compare_with_closed_forms(paper_params, [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("scales", [[0.25, 0.5, 1.0], [1.0], [1.0, 1.0]],
+                             ids=["ascending", "single", "repeated"])
+    def test_rejects_scales_that_cannot_gate(self, paper_params, scales):
+        with pytest.raises(ParameterDomainError):
+            compare_with_closed_forms(paper_params, scales)
 
 
 #: 50-digit reference for ``validate --rwa both`` at the golden point

@@ -32,8 +32,12 @@ class TestSystemParams:
             SystemParams(5.0, 3.75, 3.721, 0.2, nmax=1)
 
     def test_flat_dict_round_trip(self, paper_params):
-        again = SystemParams.from_flat_dict(paper_params.to_flat_dict())
-        assert again == paper_params
+        flat = {"omega1_ghz": 5.0, "omega2_ghz": 3.75, "e0_ghz": 3.721, "lambda_ghz": 0.2,
+                "nmax": 20}
+        assert paper_params.to_flat_dict() == flat
+        assert SystemParams.from_flat_dict(flat) == paper_params
+        del flat["nmax"]  # an absent nmax keeps the default
+        assert SystemParams.from_flat_dict(flat) == paper_params
 
     @pytest.mark.parametrize("nmax", [20.7, "20", True])
     def test_flat_dict_rejects_non_integer_nmax(self, paper_params, nmax):
