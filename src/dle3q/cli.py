@@ -43,11 +43,11 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 def _collect_params(args, need_omega2: bool = True) -> SystemParams:
     flat: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ParameterDomainError(f"--config {args.config}: {exc}") from exc
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParameterDomainError(f"--config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise ParameterDomainError(f"--config {args.config} does not hold a JSON object")
         flat.update(config)
@@ -55,6 +55,9 @@ def _collect_params(args, need_omega2: bool = True) -> SystemParams:
                 if getattr(args, key) is not None)
     missing = [_flag(key) for key in JSON_KEYS[:4]
                if key not in flat and (need_omega2 or key != "omega2_ghz")]
+    if not need_omega2:  # a sweep needs its grid bounds instead
+        missing += [_flag(key) for key in ("omega2_min_ghz", "omega2_max_ghz")
+                    if getattr(args, key) is None]
     if missing:
         raise ParameterDomainError(f"missing required parameter flag(s): {' '.join(missing)}")
     if not need_omega2:
@@ -183,9 +186,6 @@ def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
 def cmd_sweep(args) -> int:
     p_base = _collect_params(args, need_omega2=False)
     lo, hi, steps = args.omega2_min_ghz, args.omega2_max_ghz, args.steps
-    if lo is None or hi is None:
-        raise ParameterDomainError(
-            "missing required parameter flag(s): --omega2-min-ghz --omega2-max-ghz")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterDomainError(f"omega2_min and omega2_max must be finite, got {lo}, {hi}")
     if not (0.0 < lo < hi):

@@ -28,7 +28,11 @@ rung below nmax is accepted only if
     |H x - w x| in the nmax block of at most TRUNCATION_FLOOR*max|w|.  That
     residual is exactly the n = K -> K+1 couplings applied to the n = K rows.
     (w, x) is then an exact eigenpair of H plus a perturbation of that norm,
-    a backward error at the level of the full solve's own rounding;
+    a backward error at the level of the full solve's own rounding.  Each
+    rung builds its block at K+1 photons and solves the leading K block;
+    the slab coupling the new layer to it is cached beside the solution,
+    as (w, v, rows, edge), so the residual is one matrix product and the
+    couplings are written only in _block_hamiltonian;
   * the label overlap exceeds sqrt(1 - overlap^2) by MIN_MATCH_MARGIN,
     which makes it dominant (> MIN_LABEL_OVERLAP).  The squared overlaps of
     all eigenvectors with the label row sum to 1, so no other eigenvector of
@@ -170,56 +174,40 @@ def _block_hamiltonian(omega: float, e0: float, lam: float, cutoff: int,
     return rows, h
 
 
-def _truncation_residual(vector: np.ndarray, rows: np.ndarray, lam: float,
-                         cutoff: int, include_rwa: bool) -> float:
-    """|H x - w x| in any larger cutoff, for an eigenpair (w, vector) of a cutoff block.
-
-    x is vector padded with zeros.  The larger block holds the cutoff block
-    unchanged, so the residual is exactly the couplings from the n = cutoff
-    layer into the n = cutoff + 1 layer, applied to x.
-    """
-    base = 4 * cutoff
-    edge = [0.0] * 4  # x at n = cutoff, by m
-    start = int(np.searchsorted(rows, base))
-    for row, value in zip(rows[start:].tolist(), vector[start:].tolist()):
-        edge[row - base] = value
-    beyond = [0.0] * 4  # H x at n = cutoff + 1, by m, over lam*sqrt(cutoff+1)
-    for m, spin in enumerate((math.sqrt(3.0), 2.0, math.sqrt(3.0))):
-        beyond[m + 1] += spin * edge[m]  # V: (cutoff, m) -> (cutoff+1, m+1)
-        if include_rwa:
-            beyond[m] += spin * edge[m + 1]  # V_RWA: (cutoff, m+1) -> (cutoff+1, m)
-    return lam * math.sqrt(cutoff + 1) * math.hypot(*beyond)
-
-
-def _certified(overlap: float, w: np.ndarray, vector: np.ndarray, rows: np.ndarray,
-               lam: float, cutoff: int, include_rwa: bool) -> bool:
+def _certified(overlap: float, w: np.ndarray, vector: np.ndarray, edge: np.ndarray) -> bool:
     """Whether the match (overlap, vector) in a cutoff block stands for every larger cutoff.
 
     The acceptance rule of the module docstring: a label overlap that
     exceeds sqrt(1 - overlap^2) by MIN_MATCH_MARGIN, which also makes it
-    dominant (overlap^2 > 1/2), and a truncation residual of at most
-    TRUNCATION_FLOOR*max|w|.
+    dominant (overlap^2 > 1/2), and a truncation residual |edge @ vector|
+    of at most TRUNCATION_FLOOR*max|w|.
     """
     return (overlap - math.sqrt(max(0.0, 1.0 - overlap ** 2)) >= MIN_MATCH_MARGIN
-            and _truncation_residual(vector, rows, lam, cutoff, include_rwa)
-            <= TRUNCATION_FLOOR * float(np.abs(w).max()))
+            and np.linalg.norm(edge @ vector) <= TRUNCATION_FLOOR * float(np.abs(w).max()))
 
 
 @lru_cache(maxsize=64)
 def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
                    include_rwa: bool, block: int):
-    """Checked eigendecomposition of one block of H: (w, v, Dicke rows)."""
+    """Checked eigendecomposition of one block of H: (w, v, Dicke rows, edge).
+
+    edge is the slab of H coupling the block's n = cutoff + 1 layer to its
+    rows, so edge @ x is the part of H x past the cutoff; a copy, so the
+    cache does not keep the (cutoff + 1)-photon matrix alive.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        rows, h = _block_hamiltonian(omega, e0, lam, cutoff, include_rwa, block)
+        rows, h = _block_hamiltonian(omega, e0, lam, cutoff + 1, include_rwa, block)
+        k = int(np.searchsorted(rows, 4 * (cutoff + 1)))  # Dicke rows ascend
+        rows, edge, h = rows[:k], h[k:, :k].copy(), h[:k, :k]
         finite = np.isfinite(np.linalg.norm(h))
     if not finite:
         raise ParameterDomainError(
             f"the Hamiltonian block at omega={omega}, lambda={lam} has no finite norm "
             "(input outside double-precision range)")
     w, v = _eigh_checked(h)
-    for a in (w, v, rows):
+    for a in (w, v, rows, edge):
         a.setflags(write=False)
-    return w, v, rows
+    return w, v, rows, edge
 
 
 def _cutoffs(nmax: int, n: int):
@@ -266,12 +254,11 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
                 f"nmax={p.nmax} is too large: no cutoff below {cutoff} photons "
                 f"certifies {label}, and the {cutoff}-photon block has {states} "
                 f"states, over the {MAX_BLOCK_STATES}-state limit")
-        w, v, rows = _symmetric_eig(omega, p.e0, p.lambda_, cutoff, include_rwa, block)
+        w, v, rows, edge = _symmetric_eig(omega, p.e0, p.lambda_, cutoff, include_rwa, block)
         target = int(np.searchsorted(rows, 4 * n + m))
         overlaps = np.abs(v[target, :])
         best = int(np.argmax(overlaps))
-        if cutoff < p.nmax and _certified(overlaps[best], w, v[:, best], rows, p.lambda_,
-                                          cutoff, include_rwa):
+        if cutoff < p.nmax and _certified(overlaps[best], w, v[:, best], edge):
             break
     order = np.argsort(overlaps)[::-1]
     best = order[0]

@@ -112,6 +112,16 @@ class TestReport:
         assert err.startswith(f"error: --config {config}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name,reason", [("absent.json", "No such file or directory"),
+                                             (".", "Is a directory")])
+    def test_config_unreadable_exits_2_naming_flag(self, capsys, tmp_path, name, reason):
+        config = tmp_path / name
+        code, out, err = run(capsys, ["report", "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --config {config}: [Errno ")
+        assert reason in err
+        assert err.count("\n") == 1
+
     def test_config_unknown_key_exits_2_naming_it(self, capsys, tmp_path):
         config = tmp_path / "params.json"
         config.write_text(json.dumps({"omega1_ghz": 5.0, "omega2_ghz": 3.75, "e0_ghz": 3.721,
@@ -171,6 +181,17 @@ class TestSweep:
                                     "--omega2-min-ghz", "3.73", "--omega2-max-ghz", "4.5"])
         assert code == 2
         assert err == "error: missing required parameter flag(s): --omega1-ghz\n"
+
+    @pytest.mark.parametrize("argv,missing", [
+        ([*SWEEP_BASE, "--omega2-min-ghz", "3"], "--omega2-max-ghz"),
+        ([*SWEEP_BASE, "--omega2-max-ghz", "4.5"], "--omega2-min-ghz"),
+        (SWEEP_BASE, "--omega2-min-ghz --omega2-max-ghz"),
+        (["sweep", "--e0-ghz", "3.721", "--lambda-ghz", "0.2", "--omega2-min-ghz", "3"],
+         "--omega1-ghz --omega2-max-ghz")])
+    def test_missing_grid_bound_named(self, capsys, argv, missing):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: missing required parameter flag(s): {missing}\n"
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, [*SWEEP_BASE, "--omega2-min-ghz", "4.5",
@@ -391,3 +412,15 @@ class TestFiniteInputs:
         code, out, _ = run(capsys, [*SWEEP_BASE, "--omega2-ghz", "3.721", *grid])
         assert code == 0
         assert out == run(capsys, [*SWEEP_BASE, *grid])[1]
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_output_error_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli.sys, "stdout", _BrokenPipe())
+    code = main(["report", *PAPER_FLAGS])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -202,14 +202,14 @@ class TestCutoffLadder:
         cutoff, lam = 6, 1.0
         largest = 0.0
         for block in ((0, 1) if rwa else (3, 4, 5, 6)):
-            w, v, rows = _symmetric_eig(4.5, E0, lam, cutoff, rwa, block)
+            w, v, rows, edge = _symmetric_eig(4.5, E0, lam, cutoff, rwa, block)
+            assert edge.base is None  # the cache keeps no larger matrix alive
             big_rows, h = _block_hamiltonian(4.5, E0, lam, cutoff + 3, rwa, block)
             padded = np.zeros((big_rows.size, w.size))
             padded[np.searchsorted(big_rows, rows)] = v
             outside = big_rows >= 4 * (cutoff + 1)
             expected = np.linalg.norm((h @ padded)[outside], axis=0)
-            got = [oracle._truncation_residual(v[:, k], rows, lam, cutoff, rwa)
-                   for k in range(w.size)]
+            got = [np.linalg.norm(edge @ v[:, k]) for k in range(w.size)]
             assert np.allclose(got, expected, rtol=1e-12, atol=0)
             largest = max(largest, *got)
         assert largest > 0.1
@@ -245,7 +245,7 @@ class TestCutoffLadder:
         # at 20 photons, but its 20-photon tail still couples onward, with a
         # residual of about 1e-6; 40 photons are below rounding
         p = SystemParams(W1, 4.5, E0, 2.0, nmax=160)
-        w, v, rows = _symmetric_eig(W1, E0, 2.0, 20, True, 0)
+        w, v, rows, _ = _symmetric_eig(W1, E0, 2.0, 20, True, 0)
         assert np.abs(v[0]).max() > 0.7 + 1e-6
         ds = dressed_state(0, 0, p, W1, include_rwa=True)
         assert solved_cutoffs == [20, 40]
@@ -309,9 +309,14 @@ class TestCutoffLadder:
         assert {r["nmax"] for r in got["rows"]} == {100_000}
 
 
+def _no_convergence(w, v):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 CORRUPTIONS = {
     "Gram": lambda w, v: (w, v * (1 + 1e-6)),          # not orthonormal
     "reconstruction": lambda w, v: (w[::-1], v),       # eigenpairs mismatched
+    "eigensolver failed": _no_convergence,
 }
 
 
@@ -379,6 +384,21 @@ class TestDressedState:
             with pytest.raises(ParameterDomainError, match="no finite norm"):
                 dressed_state(0, 0, p, omega=W1)
 
+    def test_near_crossing_raises(self, capsys):
+        # omega2 found by bisection: the two best overlaps of |2; 0> agree to
+        # about 1e-12, far inside MIN_MATCH_MARGIN
+        flags = ["--omega1-ghz", "5", "--omega2-ghz", "2.8718391055", "--e0-ghz", "1",
+                 "--lambda-ghz", "0.2", "--rwa", "on"]
+        p = SystemParams(W1, 2.8718391055, 1.0, 0.2)
+        with pytest.raises(DegeneracyAmbiguityError, match="near-crossing"):
+            dressed_state(2, 0, p, omega=p.omega2, include_rwa=True)
+        assert main(["validate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver error: two eigenvectors match |n=2, m=0> equally well "
+            "(0.675653 vs 0.675653); near-crossing\n")
+
     def test_lost_label_character_raises(self):
         # deep ultrastrong coupling: no eigenvector keeps a dominant label
         p = SystemParams(W1, 3.75, E0, 3.0, nmax=16)
@@ -410,6 +430,11 @@ class TestSuddenOverlap:
         rows = compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa)
         factors = shrink_factors(rows, (1, 1))
         assert all(f >= 3.0 for f in factors)
+
+    def test_shrink_factors_mark_undefined_and_exact_deviations(self):
+        rows = [{"channel_n": 1, "channel_m": 1, "rel_dev": dev}
+                for dev in (1e-2, 1e-3, 0.0, None, 1e-4)]
+        assert shrink_factors(rows, (1, 1)) == [10.0, math.inf, 0.0, 0.0]
 
     def test_v_only_pair_channels_exactly_zero(self):
         # H0 + V conserves n - m: the (2,0) and (0,2) targets share no block,

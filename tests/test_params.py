@@ -49,6 +49,16 @@ class TestSystemParams:
         with pytest.raises(ParameterDomainError, match="unknown"):
             SystemParams.from_flat_dict({"omega1_ghz": 5.0, "bogus": 1.0})
 
+    def test_flat_dict_names_missing_keys(self):
+        with pytest.raises(ParameterDomainError,
+                           match=r"missing parameter keys: \['e0_ghz', 'lambda_ghz'\]"):
+            SystemParams.from_flat_dict({"omega1_ghz": 5.0, "omega2_ghz": 3.75})
+
+    @pytest.mark.parametrize("value", ["5", None, 5 + 0j])
+    def test_rejects_non_real_value(self, value):
+        with pytest.raises(ParameterDomainError, match="omega1 must be a real number"):
+            SystemParams(value, 3.75, 3.721, 0.2)
+
 
 class TestValidateParams:
     def test_paper_point_flagged_near_resonant(self, paper_params):

@@ -154,6 +154,23 @@ def test_table_at_depth_2():
         '}\n')
 
 
+def test_format_float_refuses_non_finite():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="refusing to serialize non-finite value"):
+            format_float(bad)
+
+
+def test_empty_dict():
+    assert json_dumps({}) == "{}\n"
+    assert json_dumps({"a": {}}) == '{\n  "a": {}\n}\n'
+
+
+def test_strings_escaped_and_other_scalars_refused():
+    assert json_dumps({"s": 'a"b\\c'}) == '{\n  "s": "a\\"b\\\\c"\n}\n'
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        json_dumps({"x": 1j})
+
+
 def test_empty_table():
     table = Table({"x": np.array([]), "ok": np.array([], dtype=bool)})
     assert json_dumps({"rows": table}) == '{\n  "rows": []\n}\n'
