@@ -4,40 +4,37 @@ Closed-form transition amplitudes, excitation probabilities, conditional
 residual tangle and conditional concurrence for three qubits in a cavity
 whose boundary switches suddenly between two mode frequencies, plus an
 exact-diagonalization oracle that verifies the perturbative layer.
+
+Every public name loads its home module on first access, so ``import dle3q``
+alone imports no submodule and not numpy, and each CLI command loads only
+the layers it runs.
 """
-from .amplitudes import amplitude_closed_form, amplitude_table
-from .entangle import (ClosedForms, SectorMeasures, concurrence_mixed,
-                       concurrence_pair_general, entanglement_report,
-                       monogamy_residual, normalized_sectors,
-                       residual_tangle_general, sector_measures,
-                       symmetric_sector)
-from .errors import (DegeneracyAmbiguityError, NormalizationError,
-                     ParameterDomainError, SingularityError,
-                     SolverDiagnosticsError, TruncationHeadroomError)
-from .params import SystemParams, ValidityReport, guard_detuning, validate_params
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedForms", "DegeneracyAmbiguityError", "DressedState",
-    "NormalizationError", "ParameterDomainError", "SectorMeasures",
-    "SingularityError", "SolverDiagnosticsError", "SystemParams",
-    "TruncationHeadroomError", "ValidityReport", "amplitude_closed_form",
-    "amplitude_table", "compare_with_closed_forms", "concurrence_mixed",
-    "concurrence_pair_general", "dressed_state",
-    "entanglement_report", "guard_detuning", "monogamy_residual",
-    "normalized_sectors", "residual_tangle_general", "sector_measures",
-    "shrink_factors", "sudden_overlap", "symmetric_sector", "validate_params",
-]
+#: The home module of each public name.
+_HOME = {
+    "amplitude_closed_form": "amplitudes", "amplitude_table": "amplitudes",
+    "ClosedForms": "entangle", "SectorMeasures": "entangle",
+    "concurrence_mixed": "entangle", "concurrence_pair_general": "entangle",
+    "entanglement_report": "entangle", "monogamy_residual": "entangle",
+    "normalized_sectors": "entangle", "residual_tangle_general": "entangle",
+    "sector_measures": "entangle", "symmetric_sector": "entangle",
+    "DegeneracyAmbiguityError": "errors", "NormalizationError": "errors",
+    "ParameterDomainError": "errors", "SingularityError": "errors",
+    "SolverDiagnosticsError": "errors", "TruncationHeadroomError": "errors",
+    "DressedState": "oracle", "compare_with_closed_forms": "oracle",
+    "dressed_state": "oracle", "shrink_factors": "oracle", "sudden_overlap": "oracle",
+    "SystemParams": "params", "ValidityReport": "params",
+    "guard_detuning": "params", "validate_params": "params",
+}
 
-#: Names served from ``oracle``, which is imported on first access: only
-#: ``validate`` runs it, and ``python -m dle3q.cli`` always runs this file.
-_ORACLE_NAMES = frozenset({"DressedState", "compare_with_closed_forms", "dressed_state",
-                           "shrink_factors", "sudden_overlap"})
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
+    # Not cached here: each access reads the home module's current binding.
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

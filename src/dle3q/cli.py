@@ -6,19 +6,22 @@ stdout carries data (JSON or CSV), stderr carries diagnostics.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import entangle
-from .amplitudes import DLE_CHANNELS
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SingularityError, SolverDiagnosticsError,
                      TruncationHeadroomError)
 from .params import JSON_KEYS, SystemParams, guard_detuning
-from .serialize import Table, csv_lines, json_dumps
+
+# Each command imports the layers it runs where it first uses them, so --help
+# loads none of them and validate never loads entangle; these are for annotations.
+if TYPE_CHECKING:
+    from .entangle import ClosedForms
+    from .serialize import Table
 
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
 SWEEP_GUARD_BAND = 1e-6
@@ -43,6 +46,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 def _collect_params(args, need_omega2: bool = True) -> SystemParams:
     flat: dict = {}
     if args.config:
+        import json
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -85,7 +90,7 @@ def _finite(name: str, values):
     return _require_finite(name, values).tolist()
 
 
-def _headline(cf: entangle.ClosedForms) -> dict:
+def _headline(cf: ClosedForms) -> dict:
     """The published quantities of every point, keyed by sweep column."""
     w, s = cf.w, cf.sectors
     return {"w_0": w[..., 0], "w_1": w[..., 1], "w_2": w[..., 2],
@@ -94,9 +99,11 @@ def _headline(cf: entangle.ClosedForms) -> dict:
             "c_2_ab1": s.c_ab1[..., 2]}
 
 
-def _sector_rows(cf: entangle.ClosedForms) -> list[dict]:
+def _sector_rows(cf: ClosedForms) -> list[dict]:
     """One entanglement row per photon number, raw and sector-normalized."""
-    normalized = entangle.sector_measures(entangle.normalized_sectors(cf.amplitudes))
+    from .entangle import normalized_sectors, sector_measures
+
+    normalized = sector_measures(normalized_sectors(cf.amplitudes))
     raw = {key: _finite(key, value) for key, value in vars(cf.sectors).items()}
     unit = {key: _finite(f"normalized {key}", getattr(normalized, key))
             for key in ("tau_abc", "c_ab0", "c_ab1")}
@@ -107,8 +114,11 @@ def _sector_rows(cf: entangle.ClosedForms) -> list[dict]:
 
 def _report_doc(p: SystemParams) -> dict:
     """Everything report prints about one point, as Python scalars."""
+    from .amplitudes import DLE_CHANNELS
+    from .entangle import entanglement_report
+
     guard_detuning(p.omega2, p.e0)
-    cf = entangle.entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+    cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
     amps = _finite("amplitudes", cf.amplitudes)
     probs = _finite("probabilities", cf.amplitudes ** 2)
     w = _finite("w", cf.w)
@@ -127,6 +137,8 @@ def _report_doc(p: SystemParams) -> dict:
 
 
 def cmd_report(args) -> int:
+    from .serialize import csv_lines, json_dumps
+
     doc = _report_doc(_collect_params(args))
     if args.format == "json":
         sys.stdout.write(json_dumps(doc))
@@ -162,7 +174,10 @@ def _monotone_flags(omega2: np.ndarray, tau_2: np.ndarray, e0: float) -> dict:
 
 def _sweep_table(p_base: SystemParams, omega2: np.ndarray) -> tuple[Table, dict]:
     """The SWEEP_COLUMNS of every grid point as one table, and the monotone flags."""
-    cf = entangle.entanglement_report(p_base.omega1, omega2, p_base.e0, p_base.lambda_)
+    from .entangle import entanglement_report
+    from .serialize import Table
+
+    cf = entanglement_report(p_base.omega1, omega2, p_base.e0, p_base.lambda_)
     columns = {"omega2": omega2, **_headline(cf),
                "perturbative_ok": cf.validity.perturbative_ok}
     flags = _monotone_flags(omega2, columns["tau_2"], p_base.e0)
@@ -175,6 +190,8 @@ def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
 
     The evaluator's arrays are freed when this returns, before the text is written out.
     """
+    from .serialize import csv_lines, json_dumps
+
     table, flags = _sweep_table(p_base, omega2)
     if fmt == "csv":
         return csv_lines(SWEEP_COLUMNS, table), flags
@@ -211,7 +228,8 @@ VALIDATE_COLUMNS = ["channel_n", "channel_m", "closed_form", "oracle",
 
 
 def cmd_validate(args) -> int:
-    from . import oracle  # the one command that runs it; report and sweep skip its import
+    from . import oracle
+    from .serialize import csv_lines, json_dumps
 
     p = _collect_params(args)
     try:

@@ -1,4 +1,5 @@
-"""The package's export list matches what its library modules define."""
+"""The package's export list matches what its library modules define, and each
+CLI command loads only the modules it runs."""
 import importlib
 import inspect
 import os
@@ -14,10 +15,23 @@ import dle3q
 LIBRARY_MODULES = ("amplitudes", "entangle", "errors", "oracle", "params")
 
 
-def test_every_export_resolves():
+def test_every_export_resolves(monkeypatch):
     assert len(set(dle3q.__all__)) == len(dle3q.__all__)
     for name in dle3q.__all__:
-        assert getattr(dle3q, name, None) is not None, name
+        module = importlib.import_module(f"dle3q.{dle3q._HOME[name]}")
+        assert getattr(dle3q, name) is getattr(module, name), name
+        assert getattr(dle3q, name).__module__ == module.__name__, name
+    # the package caches nothing, so a rebinding in the home module shows through
+    from dle3q import oracle
+    monkeypatch.setattr(oracle, "dressed_state", sentinel := object())
+    assert dle3q.dressed_state is sentinel
+    namespace: dict = {}
+    exec("from dle3q import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dle3q.__all__)
+    # names the package no longer serves, the product-space ones included
+    for name in ("no_such_name", "BasisState", "symmetrizer", "perturbed_state"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(dle3q, name)
 
 
 @pytest.mark.parametrize("module_name", LIBRARY_MODULES)
@@ -31,38 +45,58 @@ def test_public_definitions_are_exported(module_name):
     assert not missing, f"dle3q.{module_name} defines {missing} but __all__ lacks them"
 
 
-def test_cli_loads_no_product_space():
-    # the product basis is a test-side reference; the package runs on Dicke labels
-    probe = ("import sys, dle3q, dle3q.cli\n"
-             "print('dle3q.hilbert' in sys.modules)\n"
-             "print(sorted(n for n in ('BasisState', 'symmetrizer', 'perturbed_state')"
-             " if hasattr(dle3q, n)))\n")
+def _fresh_process(code: str, *args: str) -> list[str]:
+    """The stdout lines of code run by a new interpreter with args as sys.argv[1:]."""
     src = str(Path(dle3q.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.splitlines() == ["False", "[]"]
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.splitlines()
 
 
-def test_oracle_loads_on_first_use():
-    # report, sweep and --help never import the oracle; validate does
+LOADED = ("print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'dle3q'))\n"
+          "print('json' in sys.modules, 'numpy' in sys.modules)\n")
+
+
+FRONT = {"dle3q", "dle3q.cli", "dle3q.errors", "dle3q.params"}
+EVALUATOR = FRONT | {"dle3q.amplitudes", "dle3q.entangle", "dle3q.serialize"}
+ORACLE = FRONT | {"dle3q.amplitudes", "dle3q.oracle", "dle3q.serialize"}
+POINT = ["--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-ghz", "0.02"]
+
+
+def test_bare_import_loads_no_layer():
+    probe = "import sys\nimport dle3q\n" + LOADED + "import dle3q.cli\n" + LOADED
+    bare, bare_libs, cli, cli_libs = _fresh_process(probe)
+    assert (bare, bare_libs) == ("dle3q", "False False")
+    # benchmarks/run.py import_times reads numpy's import time from `import dle3q.cli`
+    assert (cli.split(), cli_libs) == (sorted(FRONT), "False True")
+
+#: Each command's argv, the dle3q modules a fresh process holds after it, and whether
+#: json is loaded. None loads dle3q.hilbert: the product basis is a test-side reference.
+COMMAND_LOADS = {
+    "help": (["--help"], FRONT, False),
+    "report": (["report", *POINT, "--omega2-ghz", "4.5"], EVALUATOR, False),
+    "sweep": (["sweep", *POINT, "--omega2-min-ghz", "4", "--omega2-max-ghz", "4.5"],
+              EVALUATOR, False),
+    "validate": (["validate", *POINT, "--omega2-ghz", "4.5"], ORACLE, False),
+    "report-config": (["report", "--config", "{config}", "--omega2-ghz", "4.5"],
+                      EVALUATOR, True),
+}
+
+
+@pytest.mark.parametrize("case", COMMAND_LOADS)
+def test_command_loads_only_its_layers(case, tmp_path):
+    argv, modules, json_loaded = COMMAND_LOADS[case]
+    config = tmp_path / "point.json"
+    config.write_text('{"omega1_ghz": 5, "e0_ghz": 3.721, "lambda_ghz": 0.02}')
     probe = ("import contextlib, io, sys\n"
              "from dle3q import cli\n"
-             "point = ['--omega1-ghz', '5', '--e0-ghz', '3.721', '--lambda-ghz', '0.02']\n"
-             "grid = ['--omega2-min-ghz', '4', '--omega2-max-ghz', '4.5']\n"
-             "for argv in (['report', *point, '--omega2-ghz', '4.5'], ['sweep', *point, *grid],\n"
-             "             ['--help'], ['validate', *point, '--omega2-ghz', '4.5']):\n"
-             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-             "        try:\n"
-             "            cli.main(argv)\n"
-             "        except SystemExit:\n"
-             "            pass\n"
-             "    print(argv[0], 'dle3q.oracle' in sys.modules)\n"
-             "import dle3q\n"
-             "print(dle3q.dressed_state is dle3q.oracle.dressed_state)\n")
-    src = str(Path(dle3q.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.splitlines() == ["report False", "sweep False", "--help False",
-                                "validate True", "True"]
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    try:\n"
+             "        code = cli.main(sys.argv[1:])\n"
+             "    except SystemExit as exc:  # --help exits after printing\n"
+             "        code = exc.code\n"
+             "print(code)\n" + LOADED)
+    code, loaded, libs = _fresh_process(probe, *(a.format(config=config) for a in argv))
+    assert code == "0"
+    assert loaded.split() == sorted(modules)
+    assert libs == f"{json_loaded} True"
