@@ -10,6 +10,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
+# Eager on purpose: benchmarks/run.py --trace 1 reads numpy's -X importtime under dle3q.cli.
 import numpy as np
 
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,

@@ -30,7 +30,7 @@ rung below nmax is accepted only if
     (w, x) is then an exact eigenpair of H plus a perturbation of that norm,
     a backward error at the level of the full solve's own rounding.  Each
     rung builds its block at K+1 photons and solves the leading K block;
-    the slab coupling the new layer to it is cached beside the solution,
+    the slab coupling the new layer to it is returned beside the solution,
     as (w, v, rows, edge), so the residual is one matrix product and the
     couplings are written only in _block_hamiltonian;
   * the label overlap exceeds sqrt(1 - overlap^2) by MIN_MATCH_MARGIN,
@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -186,14 +185,13 @@ def _certified(overlap: float, w: np.ndarray, vector: np.ndarray, edge: np.ndarr
             and np.linalg.norm(edge @ vector) <= TRUNCATION_FLOOR * float(np.abs(w).max()))
 
 
-@lru_cache(maxsize=64)
 def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
                    include_rwa: bool, block: int):
     """Checked eigendecomposition of one block of H: (w, v, Dicke rows, edge).
 
     edge is the slab of H coupling the block's n = cutoff + 1 layer to its
-    rows, so edge @ x is the part of H x past the cutoff; a copy, so the
-    cache does not keep the (cutoff + 1)-photon matrix alive.
+    rows, so edge @ x is the part of H x past the cutoff; a copy, so a rung
+    kept for the rest of a call does not pin the (cutoff + 1)-photon matrix.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         rows, h = _block_hamiltonian(omega, e0, lam, cutoff + 1, include_rwa, block)
@@ -205,8 +203,6 @@ def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
             f"the Hamiltonian block at omega={omega}, lambda={lam} has no finite norm "
             "(input outside double-precision range)")
     w, v = _eigh_checked(h)
-    for a in (w, v, rows, edge):
-        a.setflags(write=False)
     return w, v, rows, edge
 
 
@@ -240,6 +236,11 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
     DegeneracyAmbiguityError is raised.  The phase is fixed so the label's
     component is positive.
     """
+    return _dressed(n, m, p, omega, include_rwa, {})
+
+
+def _dressed(n, m, p, omega, include_rwa, rungs: dict) -> DressedState:
+    """dressed_state, sharing rungs: (cutoff, block) -> solve at this omega, p, include_rwa."""
     n, m = _channel(n, m)
     label = f"|n={n}, m={m}>"
     if n > p.nmax - HEADROOM:
@@ -254,7 +255,10 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
                 f"nmax={p.nmax} is too large: no cutoff below {cutoff} photons "
                 f"certifies {label}, and the {cutoff}-photon block has {states} "
                 f"states, over the {MAX_BLOCK_STATES}-state limit")
-        w, v, rows, edge = _symmetric_eig(omega, p.e0, p.lambda_, cutoff, include_rwa, block)
+        key = (cutoff, block)
+        if key not in rungs:
+            rungs[key] = _symmetric_eig(omega, p.e0, p.lambda_, cutoff, include_rwa, block)
+        w, v, rows, edge = rungs[key]
         target = int(np.searchsorted(rows, 4 * n + m))
         overlaps = np.abs(v[target, :])
         best = int(np.argmax(overlaps))
@@ -289,13 +293,13 @@ def sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool = False) -
     conserved-quantity block than the ground state overlaps it exactly 0.
     """
     return _overlap_with_ground(dressed_state(0, 0, p, p.omega1, include_rwa), n, m, p,
-                                include_rwa)
+                                include_rwa, {})
 
 
 def _overlap_with_ground(ground: DressedState, n: int, m: int, p: SystemParams,
-                         include_rwa: bool) -> float:
+                         include_rwa: bool, rungs: dict) -> float:
     """sudden_overlap(n, m, p, include_rwa), given its dressed ground state at omega1."""
-    target = dressed_state(n, m, p, p.omega2, include_rwa)
+    target = _dressed(n, m, p, p.omega2, include_rwa, rungs)
     # the shorter vector is zero past its end, so the dot runs over the common rows
     size = min(target.vector.size, ground.vector.size)
     overlap = float(target.vector[:size] @ ground.vector[:size])
@@ -327,9 +331,10 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)
         ground = dressed_state(0, 0, p_s, p_s.omega1, include_rwa)
+        rungs = {}  # the channels' targets at omega2 share blocks, so they share solves
         for ch in DLE_CHANNELS:
             closed = amplitude_closed_form(ch[0], ch[1], p_s)
-            orac = _overlap_with_ground(ground, ch[0], ch[1], p_s, include_rwa)
+            orac = _overlap_with_ground(ground, ch[0], ch[1], p_s, include_rwa, rungs)
             # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)
             rel = abs(orac - closed) / abs(closed) if closed != 0.0 else None
             rows.append({

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -128,13 +129,6 @@ class TestBlockSolve:
             reference = float(t_vec @ g_vec) / math.sqrt(CLASS_MULTIPLICITY[m])
             assert abs(sudden_overlap(n, m, p, include_rwa=rwa) - reference) <= 1e-12
 
-    def test_cache_ignores_unused_frequencies(self):
-        _symmetric_eig.cache_clear()
-        for omega2 in (4.1, 4.3, 4.5):
-            dressed_state(0, 0, SystemParams(W1, omega2, E0, 0.01), omega=W1)
-        info = _symmetric_eig.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-
 
 def _full_block_state(n, m, p, omega, rwa):
     """(eigenvalue, Dicke vector) of |n; m> from one eigh of its whole nmax block.
@@ -169,18 +163,29 @@ def _full_block_state(n, m, p, omega, rwa):
     return w[col], vector
 
 
-@pytest.fixture
-def solved_cutoffs(monkeypatch):
-    """The photon cutoffs dressed_state diagonalizes at, in call order."""
-    cutoffs = []
+def _record_solves(monkeypatch, keep):
+    """keep(arguments) of each block solve the oracle makes, in call order."""
+    solves = []
     real = oracle._symmetric_eig
 
     def recording(omega, e0, lam, cutoff, include_rwa, block):
-        cutoffs.append(cutoff)
+        solves.append(keep((omega, e0, lam, cutoff, include_rwa, block)))
         return real(omega, e0, lam, cutoff, include_rwa, block)
 
     monkeypatch.setattr(oracle, "_symmetric_eig", recording)
-    return cutoffs
+    return solves
+
+
+@pytest.fixture
+def solved_cutoffs(monkeypatch):
+    """The photon cutoffs dressed_state diagonalizes at, in call order."""
+    return _record_solves(monkeypatch, lambda args: args[3])
+
+
+@pytest.fixture
+def solved_rungs(monkeypatch):
+    """The (omega, e0, lam, cutoff, include_rwa, block) of each block solve, in call order."""
+    return _record_solves(monkeypatch, lambda args: args)
 
 
 GOLDEN_POINT = ["--omega1-ghz", "5", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
@@ -215,7 +220,6 @@ class TestCutoffLadder:
         assert largest > 0.1
 
     def test_certified_cutoff_shared_across_nmax(self, solved_cutoffs):
-        _symmetric_eig.cache_clear()
         p20 = SystemParams(W1, 4.5, E0, 0.02, nmax=20)
         ds20 = dressed_state(1, 1, p20, 4.5, include_rwa=True)
         for nmax in (21, 57, 160, 100_000):
@@ -225,7 +229,6 @@ class TestCutoffLadder:
             assert np.array_equal(ds.vector[:ds20.vector.size], ds20.vector)
             assert not ds.vector[ds20.vector.size:].any()
         assert solved_cutoffs == [20] * 5
-        assert _symmetric_eig.cache_info().misses == 1
 
     @pytest.mark.parametrize("n,m", [(0, 0), *DLE_CHANNELS])
     def test_v_only_blocks_bit_for_bit(self, n, m):
@@ -289,6 +292,24 @@ class TestCutoffLadder:
             "(needs > 0.7071); state has lost its label character\n")
         assert solved_cutoffs[-4:] == [20, 40, 80, 160]
 
+    def test_nothing_outlives_a_call(self):
+        # the lost label climbs to the 160-photon rung; once the error is
+        # handled, no rung of that call is still allocated
+        p = SystemParams(W1, 3.75, E0, 0.2, nmax=160)
+        message = None
+        tracemalloc.start()
+        try:
+            try:
+                dressed_state(2, 0, p, 3.75, include_rwa=True)
+            except DegeneracyAmbiguityError as exc:
+                message = str(exc)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert message == ("best overlap 0.6296 with |n=2, m=0> is not dominant "
+                           "(needs > 0.7071); state has lost its label character")
+        assert kept < 64 * 1024
+
     def test_block_over_limit_refused(self, monkeypatch, solved_cutoffs, capsys):
         monkeypatch.setattr(oracle, "MAX_BLOCK_STATES", 50)
         p = SystemParams(W1, 3.75, E0, 0.2, nmax=160)
@@ -327,10 +348,8 @@ def corrupt_eigh(monkeypatch):
 
     def install(corruption):
         monkeypatch.setattr(oracle.np.linalg, "eigh", lambda a: corruption(*real(a)))
-        _symmetric_eig.cache_clear()
 
-    yield install
-    _symmetric_eig.cache_clear()
+    return install
 
 
 class TestResidualChecks:
@@ -517,6 +536,27 @@ class TestCompareTable:
     def test_rejects_scales_that_cannot_gate(self, paper_params, scales):
         with pytest.raises(ParameterDomainError):
             compare_with_closed_forms(paper_params, scales)
+
+    def test_one_solve_per_distinct_rung(self, solved_rungs):
+        # per scale, H0+V solves the ground block at omega1 and the n - m = 2,
+        # 0, -2 target blocks at omega2; V_RWA the ground half and one target half
+        p = SystemParams(W1, 4.5, E0, 0.02, nmax=160)
+        for rwa in (False, True):
+            compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa)
+        assert len(solved_rungs) == 18
+        assert len(set(solved_rungs)) == 18
+
+    @settings(max_examples=25, deadline=None)
+    @given(omega1=st.floats(4.8, 5.2), omega2=st.floats(4.3, 4.7),
+           lam=st.floats(1e-3, 0.05), nmax=st.integers(6, 40), rwa=st.booleans())
+    def test_shared_solves_match_separate_calls(self, omega1, omega2, lam, nmax, rwa):
+        # the channels of one scale share solves; none may leak into another
+        # channel's block, frequency or scale
+        p = SystemParams(omega1, omega2, E0, lam, nmax=nmax)
+        for r in compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa):
+            p_s = SystemParams(omega1, omega2, E0, lam * r["lambda_scale"], nmax=nmax)
+            alone = sudden_overlap(r["channel_n"], r["channel_m"], p_s, include_rwa=rwa)
+            assert r["oracle"] == alone
 
 
 #: 50-digit reference for ``validate --rwa both`` at the golden point
