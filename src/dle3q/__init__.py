@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 #: The home module of each public name.
 _HOME = {
-    "amplitude_closed_form": "amplitudes", "amplitude_table": "amplitudes",
+    "amplitude_table": "amplitudes",
     "ClosedForms": "entangle", "SectorMeasures": "entangle",
     "concurrence_mixed": "entangle", "concurrence_pair_general": "entangle",
     "entanglement_report": "entangle", "monogamy_residual": "entangle",

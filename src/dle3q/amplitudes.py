@@ -32,7 +32,6 @@ import operator
 import numpy as np
 
 from .errors import ParameterDomainError
-from .params import SystemParams, guard_detuning
 
 #: The only (n, m) channels with nonzero switch amplitude.
 DLE_CHANNELS = ((2, 0), (1, 1), (0, 2), (2, 2))
@@ -83,14 +82,4 @@ def _channel(n: int, m: int) -> tuple[int, int]:
     if n_int < 0 or not 0 <= m_int <= 3:
         raise ParameterDomainError(f"invalid channel (n={n_int}, m={m_int})")
     return n_int, m_int
-
-
-def amplitude_closed_form(n: int, m: int, p: SystemParams) -> float:
-    """Closed-form switch amplitude A(n; m); zero outside the four channels."""
-    n, m = _channel(n, m)
-    if (n, m) in ((2, 0), (0, 2)):
-        guard_detuning(p.omega2, p.e0)
-    if n > 2:
-        return 0.0
-    return float(amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)[n, m])
 

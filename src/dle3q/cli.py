@@ -145,8 +145,7 @@ def cmd_report(args) -> int:
         sys.stdout.write(json_dumps(doc))
         return 0
     # Long-format CSV: one data row per (n, measure).
-    rows: list[list] = [[None, key, float(value) if key != "nmax" else value]
-                        for key, value in doc["inputs"].items()]
+    rows: list[list] = [[None, key, value] for key, value in doc["inputs"].items()]
     rows += [[None, key, value] for key, value in doc["validity"].items()]
     for ch in doc["channels"]:
         rows.append([ch["n"], f"amplitude_m{ch['m']}", ch["amplitude"]])

@@ -21,18 +21,20 @@ reconstruction residual checks.
 The block is solved on a ladder of photon cutoffs K: FIRST_CUTOFF (or nmax
 if smaller), then 2K, and so on, ending with the full nmax block.  Dressed
 photon amplitudes fall off roughly as (lam/omega)^n/sqrt(n!), so at weak
-coupling the first rung already holds the answer to float64 rounding.  A
-rung below nmax is accepted only if
+coupling the first rung already holds the answer to float64 rounding.  The
+ladder stops at the first rung, nmax included, where
 
   * the matched eigenpair (w, x), padded with zeros, has a residual
     |H x - w x| in the nmax block of at most TRUNCATION_FLOOR*max|w|.  That
     residual is exactly the n = K -> K+1 couplings applied to the n = K rows.
     (w, x) is then an exact eigenpair of H plus a perturbation of that norm,
     a backward error at the level of the full solve's own rounding.  Each
-    rung builds its block at K+1 photons and solves the leading K block;
-    the slab coupling the new layer to it is returned beside the solution,
-    as (w, v, rows, edge), so the residual is one matrix product and the
-    couplings are written only in _block_hamiltonian;
+    rung builds its block at min(K+1, nmax) photons and solves the leading
+    K block; the slab coupling the new layer to it is returned beside the
+    solution, as (w, v, rows, edge), so the residual is one matrix product
+    and the couplings are written only in _block_hamiltonian.  At K = nmax
+    there is no next layer: edge has 0 rows, the residual is exactly 0, and
+    the matrix eigh sees has the 2*(nmax+1) states MAX_BLOCK_STATES counts;
   * the label overlap exceeds sqrt(1 - overlap^2) by MIN_MATCH_MARGIN,
     which makes it dominant (> MIN_LABEL_OVERLAP).  The squared overlaps of
     all eigenvectors with the label row sum to 1, so no other eigenvector of
@@ -47,6 +49,10 @@ same matrix as the nmax block, the residual is exactly 0, and the result is
 the nmax solve bit for bit.  A rung whose block would exceed
 MAX_BLOCK_STATES states is refused with ParameterDomainError before it is
 allocated, and one whose matrix norm overflows before it is solved.
+
+Solved rungs go into a store keyed by _symmetric_eig's own arguments, so a
+lookup is valid whatever asks.  compare_with_closed_forms keeps one store per
+lambda scale, shared by the ground state at omega1 and the targets at omega2.
 
 Dressed states are matched inside their block, which keeps the assignment
 deterministic inside otherwise-degenerate excitation classes, and are
@@ -82,10 +88,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel, amplitude_closed_form
+from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel, amplitude_table
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SolverDiagnosticsError, TruncationHeadroomError)
-from .params import SystemParams
+from .params import SystemParams, guard_detuning
 
 #: Minimum photon headroom between a dressed label and the cutoff.
 HEADROOM = 4
@@ -186,15 +192,16 @@ def _certified(overlap: float, w: np.ndarray, vector: np.ndarray, edge: np.ndarr
 
 
 def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
-                   include_rwa: bool, block: int):
+                   include_rwa: bool, block: int, nmax: float = math.inf):
     """Checked eigendecomposition of one block of H: (w, v, Dicke rows, edge).
 
-    edge is the slab of H coupling the block's n = cutoff + 1 layer to its
-    rows, so edge @ x is the part of H x past the cutoff; a copy, so a rung
-    kept for the rest of a call does not pin the (cutoff + 1)-photon matrix.
+    Built at min(cutoff + 1, nmax) photons.  edge is the slab of H coupling
+    the n = cutoff + 1 layer to the block's rows, so edge @ x is the part of
+    H x past the cutoff (0 rows at cutoff == nmax); a copy, so a rung kept
+    for the rest of a call does not pin the (cutoff + 1)-photon matrix.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        rows, h = _block_hamiltonian(omega, e0, lam, cutoff + 1, include_rwa, block)
+        rows, h = _block_hamiltonian(omega, e0, lam, min(cutoff + 1, nmax), include_rwa, block)
         k = int(np.searchsorted(rows, 4 * (cutoff + 1)))  # Dicke rows ascend
         rows, edge, h = rows[:k], h[k:, :k].copy(), h[:k, :k]
         finite = np.isfinite(np.linalg.norm(h))
@@ -240,7 +247,7 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
 
 
 def _dressed(n, m, p, omega, include_rwa, rungs: dict) -> DressedState:
-    """dressed_state, sharing rungs: (cutoff, block) -> solve at this omega, p, include_rwa."""
+    """dressed_state, sharing rungs: _symmetric_eig's arguments -> its result."""
     n, m = _channel(n, m)
     label = f"|n={n}, m={m}>"
     if n > p.nmax - HEADROOM:
@@ -255,14 +262,14 @@ def _dressed(n, m, p, omega, include_rwa, rungs: dict) -> DressedState:
                 f"nmax={p.nmax} is too large: no cutoff below {cutoff} photons "
                 f"certifies {label}, and the {cutoff}-photon block has {states} "
                 f"states, over the {MAX_BLOCK_STATES}-state limit")
-        key = (cutoff, block)
+        key = (omega, p.e0, p.lambda_, cutoff, include_rwa, block, p.nmax)
         if key not in rungs:
-            rungs[key] = _symmetric_eig(omega, p.e0, p.lambda_, cutoff, include_rwa, block)
+            rungs[key] = _symmetric_eig(*key)
         w, v, rows, edge = rungs[key]
         target = int(np.searchsorted(rows, 4 * n + m))
         overlaps = np.abs(v[target, :])
         best = int(np.argmax(overlaps))
-        if cutoff < p.nmax and _certified(overlaps[best], w, v[:, best], edge):
+        if _certified(overlaps[best], w, v[:, best], edge):
             break
     order = np.argsort(overlaps)[::-1]
     best = order[0]
@@ -292,13 +299,13 @@ def sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool = False) -
     quoted per product target like the closed forms.  A target in another
     conserved-quantity block than the ground state overlaps it exactly 0.
     """
-    return _overlap_with_ground(dressed_state(0, 0, p, p.omega1, include_rwa), n, m, p,
-                                include_rwa, {})
+    return _sudden_overlap(n, m, p, include_rwa, {})
 
 
-def _overlap_with_ground(ground: DressedState, n: int, m: int, p: SystemParams,
-                         include_rwa: bool, rungs: dict) -> float:
-    """sudden_overlap(n, m, p, include_rwa), given its dressed ground state at omega1."""
+def _sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool,
+                    rungs: dict) -> float:
+    """sudden_overlap, sharing the block solves in rungs (see _dressed)."""
+    ground = _dressed(0, 0, p, p.omega1, include_rwa, rungs)
     target = _dressed(n, m, p, p.omega2, include_rwa, rungs)
     # the shorter vector is zero past its end, so the dot runs over the common rows
     size = min(target.vector.size, ground.vector.size)
@@ -330,11 +337,13 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     rows = []
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)
-        ground = dressed_state(0, 0, p_s, p_s.omega1, include_rwa)
-        rungs = {}  # the channels' targets at omega2 share blocks, so they share solves
+        rungs = {}  # one store per scale: a larger one would keep every scale's rungs alive
+        _dressed(0, 0, p_s, p_s.omega1, include_rwa, rungs)  # its errors come before the guard's
+        guard_detuning(p_s.omega2, p_s.e0)
+        table = amplitude_table(p_s.omega1, p_s.omega2, p_s.e0, p_s.lambda_).tolist()
         for ch in DLE_CHANNELS:
-            closed = amplitude_closed_form(ch[0], ch[1], p_s)
-            orac = _overlap_with_ground(ground, ch[0], ch[1], p_s, include_rwa, rungs)
+            closed = table[ch[0]][ch[1]]
+            orac = _sudden_overlap(ch[0], ch[1], p_s, include_rwa, rungs)
             # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)
             rel = abs(orac - closed) / abs(closed) if closed != 0.0 else None
             rows.append({

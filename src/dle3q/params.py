@@ -51,6 +51,7 @@ class SystemParams:
                 raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value) or value <= 0.0:
                 raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
+            object.__setattr__(self, name, float(value))  # an int prints as the float it means
         if not isinstance(self.nmax, int) or isinstance(self.nmax, bool):
             raise ParameterDomainError(f"nmax must be an integer, got {self.nmax!r}")
         if self.nmax < 2:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from dle3q import (SystemParams, amplitude_closed_form, compare_with_closed_forms,
+from dle3q import (SystemParams, amplitude_table, compare_with_closed_forms,
                    dressed_state, entanglement_report, monogamy_residual,
                    residual_tangle_general, shrink_factors)
 from dle3q.cli import main
@@ -105,15 +105,14 @@ def test_criterion_5_zero_contracts():
             SystemParams(1.0, 1.5, 0.7, 0.01)]
     ok = True
     for p in grid:
-        for n in range(7):
-            ok = ok and amplitude_closed_form(n, 3, p) == 0.0
+        a = amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)
         ok = ok and evaluate(p).w[3] == 0.0
-        for n in range(7):
+        for n in range(3):
             for m in range(4):
                 if (n, m) not in ((2, 0), (1, 1), (0, 2), (2, 2)):
-                    ok = ok and amplitude_closed_form(n, m, p) == 0.0
+                    ok = ok and a[n, m] == 0.0
     report("5 (A(n;3) = 0, w_3 = 0, zero outside the four channels)", ok,
-           f"checked {len(grid)} parameter points, n = 0..6, m = 0..3")
+           f"checked {len(grid)} parameter points, n = 0..2, m = 0..3")
 
 
 def test_criterion_6_oracle_equivalence(capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dle3q import (ParameterDomainError, SingularityError, SystemParams,
-                   amplitude_closed_form, amplitude_table, dressed_state,
+                   amplitude_table, compare_with_closed_forms, dressed_state,
                    entanglement_report)
-from dle3q.amplitudes import DLE_CHANNELS
+from dle3q.amplitudes import DLE_CHANNELS, _channel
 from dle3q.cli import _report_doc
 from dle3q.oracle import sudden_overlap
 from reference import BasisState, amplitude_via_overlap, energy_second_order
@@ -12,6 +12,11 @@ from reference import BasisState, amplitude_via_overlap, energy_second_order
 
 def evaluate(p: SystemParams):
     return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+
+
+def closed_form(n, m, p: SystemParams) -> float:
+    """A(n; m) read from the closed-form table, for n = 0..2."""
+    return float(amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)[n, m])
 
 
 class TestClosedForms:
@@ -25,46 +30,40 @@ class TestClosedForms:
         assert a[2, 2] == pytest.approx(-0.001736440721266251, rel=1e-12)
 
     def test_zero_contract(self, paper_params):
-        for n in range(6):
+        for n in range(3):
             for m in range(4):
                 if (n, m) in DLE_CHANNELS:
                     continue
-                assert amplitude_closed_form(n, m, paper_params) == 0.0
+                assert closed_form(n, m, paper_params) == 0.0
 
     def test_three_qubit_channel_forbidden(self, paper_params):
-        assert amplitude_closed_form(5, 1, paper_params) == 0.0
-        for n in range(8):
-            assert amplitude_closed_form(n, 3, paper_params) == 0.0
+        for n in range(3):
+            assert closed_form(n, 3, paper_params) == 0.0
 
     def test_no_switch_means_no_single_excitation(self):
         p = SystemParams(5.0, 5.0, 3.721, 0.2)
-        assert amplitude_closed_form(1, 1, p) == 0.0
+        assert closed_form(1, 1, p) == 0.0
 
     def test_sign_flips_with_detuning_side(self):
         above = SystemParams(5.0, 4.0, 3.721, 0.2)
         below = SystemParams(5.0, 3.5, 3.721, 0.2)
-        assert amplitude_closed_form(0, 2, above) > 0 > amplitude_closed_form(0, 2, below)
-        assert amplitude_closed_form(2, 0, above) < 0 < amplitude_closed_form(2, 0, below)
+        assert closed_form(0, 2, above) > 0 > closed_form(0, 2, below)
+        assert closed_form(2, 0, above) < 0 < closed_form(2, 0, below)
 
     def test_singular_channels_guarded(self, paper_params):
+        # validate, the closed forms' caller with a guard, refuses the point
         p = SystemParams(5.0, 3.721 * (1 + 1e-14), 3.721, 0.2)
-        for channel in ((2, 0), (0, 2)):
-            with pytest.raises(SingularityError):
-                amplitude_closed_form(*channel, p)
+        with pytest.raises(SingularityError):
+            compare_with_closed_forms(p, [1.0, 0.5])
         # the regular channels still evaluate there
-        assert amplitude_closed_form(1, 1, p) != 0.0
-        assert amplitude_closed_form(2, 2, p) != 0.0
-
-    def test_invalid_channel_rejected(self, paper_params):
-        with pytest.raises(ParameterDomainError):
-            amplitude_closed_form(-1, 0, paper_params)
-        with pytest.raises(ParameterDomainError):
-            amplitude_closed_form(0, 4, paper_params)
+        assert closed_form(1, 1, p) != 0.0
+        assert closed_form(2, 2, p) != 0.0
 
 
-#: Every entry point that takes an (n, m) label, as f(n, m, p) -> float.
+#: Every entry point that takes an (n, m) label, as f(n, m, p) -> float, and
+#: (as closed_form) the label check of the closed-form module that they share.
 CHANNEL_ROUTES = {
-    "closed_form": amplitude_closed_form, "via_overlap": amplitude_via_overlap,
+    "closed_form": lambda n, m, p: _channel(n, m), "via_overlap": amplitude_via_overlap,
     "sudden_overlap": sudden_overlap,
     "dressed_state": lambda n, m, p: dressed_state(n, m, p, p.omega2).eigenvalue,
     "energy_second_order": lambda n, m, p: energy_second_order(n, m, p.omega2, p),
@@ -99,26 +98,26 @@ class TestOverlapRoute:
     @pytest.mark.parametrize("channel", DLE_CHANNELS)
     def test_matches_closed_form(self, paper_params, channel):
         # first-order-state overlaps reproduce the closed forms identically
-        closed = amplitude_closed_form(*channel, paper_params)
+        closed = closed_form(*channel, paper_params)
         via = amplitude_via_overlap(*channel, paper_params)
         assert via == pytest.approx(closed, rel=1e-12)
 
     def test_weak_coupling_example(self):
         p = SystemParams(5.0, 4.5, 3.721, 0.005)
         assert amplitude_via_overlap(1, 1, p) == pytest.approx(
-            amplitude_closed_form(1, 1, p), rel=1e-4)
+            closed_form(1, 1, p), rel=1e-4)
 
     @pytest.mark.parametrize("target_qubits", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     def test_target_permutation_equality(self, paper_params, target_qubits):
         value = amplitude_via_overlap(1, 1, paper_params,
                                       target=BasisState(1, target_qubits))
-        assert value == pytest.approx(amplitude_closed_form(1, 1, paper_params), rel=1e-12)
+        assert value == pytest.approx(closed_form(1, 1, paper_params), rel=1e-12)
 
     @pytest.mark.parametrize("target_qubits", [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
     def test_two_excitation_targets_equal(self, paper_params, target_qubits):
         value = amplitude_via_overlap(0, 2, paper_params,
                                       target=BasisState(0, target_qubits))
-        assert value == pytest.approx(amplitude_closed_form(0, 2, paper_params), rel=1e-12)
+        assert value == pytest.approx(closed_form(0, 2, paper_params), rel=1e-12)
 
     def test_survival_channel_excludes_unity(self, paper_params):
         # switch-induced part of the (0,0) overlap, O(lambda^2), not ~1
@@ -140,7 +139,7 @@ class TestOverlapRoute:
         # the two routes agree identically, so the deviation trivially
         # satisfies the quadratic-shrink requirement at every scale
         p = SystemParams(5.0, 4.5, 3.721, 0.02 * scale)
-        closed = amplitude_closed_form(1, 1, p)
+        closed = closed_form(1, 1, p)
         assert abs(amplitude_via_overlap(1, 1, p) - closed) <= 1e-14 * abs(closed)
 
 
@@ -150,12 +149,13 @@ class TestTable:
         assert a.shape == (2, 3, 3, 4)
         assert a[1, 2, 1, 1] == amplitude_table(5.0, 4.0, 3.721, 0.3)[1, 1]
 
-    def test_closed_form_reads_the_table(self, paper_params):
-        p = paper_params
-        table = amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)
-        for n in range(3):
-            for m in range(4):
-                assert amplitude_closed_form(n, m, p) == table[n, m]
+    def test_closed_form_reads_the_table(self):
+        # validate's closed_form column is the table at each coupling scale
+        p = SystemParams(5.0, 4.5, 3.721, 0.02)
+        for r in compare_with_closed_forms(p, [1.0, 0.5]):
+            lam = p.lambda_ * r["lambda_scale"]
+            table = amplitude_table(p.omega1, p.omega2, p.e0, lam)
+            assert r["closed_form"] == table[r["channel_n"], r["channel_m"]]
 
 
 class TestProbabilities:

@@ -14,6 +14,10 @@ from dle3q.params import JSON_KEYS
 PAPER_FLAGS = ["--omega1-ghz", "5", "--omega2-ghz", "3.75",
                "--e0-ghz", "3.721", "--lambda-ghz", "0.2"]
 
+#: omega2 inside the closed forms' relative guard band around E0.
+GUARD_BAND = ["--omega1-ghz", "5", "--omega2-ghz", "3.721000000001", "--e0-ghz", "3.721",
+              "--lambda-ghz", "0.02"]
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -141,6 +145,23 @@ class TestReport:
 
 
 SWEEP_BASE = ["sweep", "--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-ghz", "0.2"]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("report", []),
+    ("sweep", ["--omega2-min-ghz", "3.5", "--omega2-max-ghz", "4.5", "--steps", "3"]),
+    ("validate", [])])
+def test_integer_config_prints_like_flags(capsys, tmp_path, command, extra):
+    # a frequency written as a JSON integer is the float it names
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"omega1_ghz": 5, "omega2_ghz": 4, "e0_ghz": 3,
+                                  "lambda_ghz": 0.02}))
+    flags = ["--omega1-ghz", "5", "--omega2-ghz", "4", "--e0-ghz", "3", "--lambda-ghz", "0.02"]
+    for fmt in ("json", "csv"):
+        from_config = run(capsys, [command, "--config", str(config), *extra, "--format", fmt])
+        from_flags = run(capsys, [command, *flags, *extra, "--format", fmt])
+        assert from_config == from_flags
+        assert from_config[0] == 0
 
 
 class TestSweep:
@@ -305,6 +326,18 @@ class TestValidate:
         assert all(row.pop("nmax") == 10 ** 10 for row in huge["rows"])
         assert all(row.pop("nmax") == 20 for row in small["rows"])
         assert huge["rows"] == small["rows"]
+
+    def test_inside_guard_band_exits_2(self, capsys):
+        code, out, err = run(capsys, ["validate", *GUARD_BAND])
+        assert (code, out) == (2, "")
+        assert err == ("error: omega = 3.721000000001 within 1e-12*E0 of the qubit "
+                       "frequency E0 = 3.721; closed form is singular there\n")
+
+    def test_ground_headroom_reported_before_guard_band(self, capsys):
+        code, out, err = run(capsys, ["validate", *GUARD_BAND, "--nmax", "3"])
+        assert (code, out) == (2, "")
+        assert err == ("error: label |n=0, m=0> needs photon headroom: "
+                       "n <= nmax - 4 = -1\n")
 
     def test_malformed_scales_exit_2(self, capsys):
         code, _, err = run(capsys, [*VALIDATE_BASE, "--lambda-scales", "1,abc"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dle3q import (NormalizationError, SingularityError, SystemParams,
-                   amplitude_closed_form, concurrence_mixed,
+                   amplitude_table, compare_with_closed_forms, concurrence_mixed,
                    concurrence_pair_general, entanglement_report,
                    guard_detuning, monogamy_residual, normalized_sectors,
                    residual_tangle_general, sector_measures, symmetric_sector)
@@ -63,8 +63,12 @@ def evaluate(p: SystemParams):
 
 
 def closed_form_sector(n, p):
-    """The eight coefficients a_ijk = A(n; i+j+k) as plain Python complex numbers."""
-    return [complex(amplitude_closed_form(n, bin(bits).count("1"), p)) for bits in range(8)]
+    """The eight coefficients a_ijk = A(n; i+j+k) as plain Python complex numbers.
+
+    The closed-form table stops at n = 2; every sector past it vanishes.
+    """
+    a = amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)
+    return [complex(a[n, bin(bits).count("1")]) if n <= 2 else 0j for bits in range(8)]
 
 
 class TestConditionalTangle:
@@ -97,12 +101,12 @@ class TestConditionalTangle:
         assert (tau[:-1] < tau[1:]).all()
 
     def test_singularity_guard(self):
-        # the evaluator leaves the guard to its callers (amplitude_closed_form, report)
+        # the evaluator leaves the guard to its callers (report, validate)
         p = SystemParams(5.0, 3.721 * (1 + 1e-14), 3.721, 0.2)
         with pytest.raises(SingularityError):
             guard_detuning(p.omega2, p.e0)
         with pytest.raises(SingularityError):
-            amplitude_closed_form(2, 0, p)
+            compare_with_closed_forms(p, [1.0, 0.5])
 
 
 class TestPairConcurrence:
@@ -179,13 +183,8 @@ class TestConditionalStateMapping:
         coefficients = symmetric_sector(evaluate(paper_params).amplitudes)
         for n in (0, 1, 2):
             cs = [c[n] for c in coefficients]
-            assert cs[0b000] == amplitude_closed_form(n, 0, paper_params)
-            for bits in (0b100, 0b010, 0b001):
-                assert cs[bits] == amplitude_closed_form(n, 1, paper_params)
-            for bits in (0b110, 0b101, 0b011):
-                assert cs[bits] == amplitude_closed_form(n, 2, paper_params)
+            assert cs == closed_form_sector(n, paper_params)
             assert cs[0b111] == 0.0
-        assert all(amplitude_closed_form(3, m, paper_params) == 0.0 for m in range(4))
 
 
 class TestMixedConcurrence:

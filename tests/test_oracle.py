@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dle3q import (DegeneracyAmbiguityError, ParameterDomainError,
                    SolverDiagnosticsError, SystemParams, TruncationHeadroomError,
-                   amplitude_closed_form, compare_with_closed_forms, dressed_state,
+                   amplitude_table, compare_with_closed_forms, dressed_state,
                    sudden_overlap)
 from dle3q import oracle
 from dle3q.amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS
@@ -168,9 +168,9 @@ def _record_solves(monkeypatch, keep):
     solves = []
     real = oracle._symmetric_eig
 
-    def recording(omega, e0, lam, cutoff, include_rwa, block):
-        solves.append(keep((omega, e0, lam, cutoff, include_rwa, block)))
-        return real(omega, e0, lam, cutoff, include_rwa, block)
+    def recording(*args):
+        solves.append(keep(args))
+        return real(*args)
 
     monkeypatch.setattr(oracle, "_symmetric_eig", recording)
     return solves
@@ -184,7 +184,7 @@ def solved_cutoffs(monkeypatch):
 
 @pytest.fixture
 def solved_rungs(monkeypatch):
-    """The (omega, e0, lam, cutoff, include_rwa, block) of each block solve, in call order."""
+    """The arguments of each block solve, in call order."""
     return _record_solves(monkeypatch, lambda args: args)
 
 
@@ -320,6 +320,44 @@ class TestCutoffLadder:
         assert code == 2
         assert "error: nmax=160 is too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_nmax_rung_has_no_next_layer(self, rwa):
+        w, v, rows, edge = _symmetric_eig(W1, E0, 0.2, 12, rwa, 0, 12)
+        assert edge.shape == (0, w.size)
+        assert rows[-1] < 4 * 13
+        # the leading block of a build one photon further holds the same entries
+        w_next, v_next, rows_next, _ = _symmetric_eig(W1, E0, 0.2, 12, rwa, 0)
+        assert np.array_equal(rows, rows_next)
+        assert np.array_equal(w, w_next) and np.array_equal(v, v_next)
+
+    def test_no_rung_builds_past_nmax(self, monkeypatch):
+        built = []
+        real = oracle._block_hamiltonian
+
+        def recording(omega, e0, lam, cutoff, include_rwa, block):
+            built.append(cutoff)
+            return real(omega, e0, lam, cutoff, include_rwa, block)
+
+        monkeypatch.setattr(oracle, "_block_hamiltonian", recording)
+        p = SystemParams(W1, 3.75, E0, 0.2, nmax=160)
+        with pytest.raises(DegeneracyAmbiguityError):  # climbs every rung to nmax
+            dressed_state(2, 0, p, 3.75, include_rwa=True)
+        assert built == [21, 41, 81, 160]
+        built.clear()
+        dressed_state(0, 0, SystemParams(W1, 4.5, E0, 0.02, nmax=12), W1, include_rwa=True)
+        assert built == [12]
+
+    def test_block_of_exactly_the_limit_accepted(self, monkeypatch):
+        p = SystemParams(W1, 4.5, E0, 0.02, nmax=20)
+        monkeypatch.setattr(oracle, "MAX_BLOCK_STATES", 42)  # the 20-photon V_RWA half
+        dressed_state(0, 0, p, W1, include_rwa=True)
+        monkeypatch.setattr(oracle, "MAX_BLOCK_STATES", 41)
+        with pytest.raises(ParameterDomainError) as refused:
+            dressed_state(0, 0, p, W1, include_rwa=True)
+        assert str(refused.value) == (
+            "nmax=20 is too large: no cutoff below 20 photons certifies |n=0, m=0>, "
+            "and the 20-photon block has 42 states, over the 41-state limit")
+
     def test_certified_cutoff_never_reaches_limit(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "MAX_BLOCK_STATES", 50)
         assert main(["validate", *GOLDEN_POINT, "--nmax", "100000"]) == 0
@@ -440,7 +478,7 @@ class TestSuddenOverlap:
     def test_one_qubit_channel_ratio(self):
         # lam = 0.001 * omega1, omega2 = 0.9 * omega1
         p = SystemParams(W1, 4.5, E0, 0.005, nmax=20)
-        ratio = sudden_overlap(1, 1, p) / amplitude_closed_form(1, 1, p)
+        ratio = sudden_overlap(1, 1, p) / amplitude_table(W1, 4.5, E0, 0.005)[1, 1]
         assert 0.999 <= ratio <= 1.001
 
     @pytest.mark.parametrize("rwa", [False, True])
@@ -502,7 +540,7 @@ class TestSuddenOverlap:
         # orthogonality forces zero at omega2 = omega1, e.g. channel (2,2))
         p_same = SystemParams(W1, W1, E0, 0.02, nmax=20)
         assert abs(sudden_overlap(2, 2, p_same, include_rwa=True)) <= 1e-10
-        assert amplitude_closed_form(2, 2, p_same) != 0.0
+        assert amplitude_table(W1, W1, E0, 0.02)[2, 2] != 0.0
         # analytic second-order value of the full overlap at omega2 != omega1
         # (path sum over V intermediates: cross terms plus both second-order
         # state corrections collapse to a perfect square)
