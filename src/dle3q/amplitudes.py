@@ -14,7 +14,9 @@ and every other (n, m) vanishes, including all m = 3.  Amplitudes are quoted
 per target configuration; the three targets within an excitation class give
 identical values.  The tests rebuild each value from those first-order
 overlaps in the product basis (tests/reference.py), an independent route
-to the table.
+to the table.  The four formulas are written once, in _channel_values,
+which the CLI's report runs on the Python floats of its one point and
+amplitude_table on numpy arrays.
 
 Convention: the (0, 0) survival overlap (which is ~1) is not an excitation
 amplitude; the closed-form channel set carries only the switch-induced
@@ -42,6 +44,24 @@ CLASS_MULTIPLICITY = (1, 3, 3, 1)
 _SQRT2 = math.sqrt(2.0)
 
 
+def _channel_values(omega1, omega2, e0, lam):
+    """A(2;0), A(1;1), A(0;2) and A(2;2), the DLE_CHANNELS in order.
+
+    Elementwise on Python floats or on broadcast numpy arrays, through the
+    same lines: squares are written as products, since Python's x ** 2 rounds
+    through C pow. A float product of detunings that underflows to 0 raises
+    ZeroDivisionError where arrays give inf or nan.
+    """
+    lam2 = lam * lam
+    s1 = omega1 + e0
+    s2 = omega2 + e0
+    d2 = omega2 - e0
+    return (-3.0 * _SQRT2 * lam2 / (s1 * d2),
+            lam * (1.0 / s2 - 1.0 / s1),
+            2.0 * lam2 / (d2 * s1),
+            -2.0 * _SQRT2 * lam2 / (s2 * s1))
+
+
 def amplitude_table(omega1, omega2, e0, lam) -> np.ndarray:
     """Closed-form switch amplitudes A[..., n, m] for n = 0..2, m = 0..3.
 
@@ -51,15 +71,9 @@ def amplitude_table(omega1, omega2, e0, lam) -> np.ndarray:
     """
     omega1, omega2, e0, lam = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (omega1, omega2, e0, lam)))
-    lam2 = lam ** 2
-    s1 = omega1 + e0
-    s2 = omega2 + e0
-    d2 = omega2 - e0
     table = np.zeros(lam.shape + (3, 4))
-    table[..., 2, 0] = -3.0 * _SQRT2 * lam2 / (s1 * d2)
-    table[..., 1, 1] = lam * (1.0 / s2 - 1.0 / s1)
-    table[..., 0, 2] = 2.0 * lam2 / (d2 * s1)
-    table[..., 2, 2] = -2.0 * _SQRT2 * lam2 / (s2 * s1)
+    for (n, m), value in zip(DLE_CHANNELS, _channel_values(omega1, omega2, e0, lam)):
+        table[..., n, m] = value
     return table
 
 

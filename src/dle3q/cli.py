@@ -8,20 +8,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import is_dataclass
 from typing import TYPE_CHECKING
 
-# Eager on purpose: benchmarks/run.py --trace 1 reads numpy's -X importtime under dle3q.cli.
+# Only sweep, validate and report's fallback call numpy; report evaluates its one
+# point on Python floats. The import stays eager because benchmarks/run.py
+# --trace 1 reads numpy's -X importtime under dle3q.cli.
 import numpy as np
 
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SingularityError, SolverDiagnosticsError,
                      TruncationHeadroomError)
-from .params import JSON_KEYS, SystemParams, guard_detuning
+from .params import JSON_KEYS, SystemParams, guard_detuning, validate_params
 
 # Each command imports the layers it runs where it first uses them, so --help
 # loads none of them and validate never loads entangle; these are for annotations.
 if TYPE_CHECKING:
-    from .entangle import ClosedForms
+    from .entangle import ClosedForms, SectorMeasures
     from .serialize import Table
 
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
@@ -77,34 +80,85 @@ SUMMARY_KEYS = ["w_1", "w_2", "tau_2", "c_0_ab1", "c_1_ab0", "c_2_ab0", "c_2_ab1
 SWEEP_COLUMNS = ["omega2", "w_0", *SUMMARY_KEYS, "perturbative_ok"]
 
 
+def _not_finite(name: str) -> ParameterDomainError:
+    return ParameterDomainError(
+        f"{name} is not finite at these parameters (outside double-precision range)")
+
+
 def _require_finite(name: str, values) -> np.ndarray:
     """values as an array, all of it finite."""
     values = np.asarray(values)
     if not np.isfinite(values).all():
-        raise ParameterDomainError(
-            f"{name} is not finite at these parameters (outside double-precision range)")
+        raise _not_finite(name)
     return values
 
 
+def _all_finite(values) -> bool:
+    if isinstance(values, list):
+        return all(map(_all_finite, values))
+    return math.isfinite(values)
+
+
 def _finite(name: str, values):
-    """values as Python scalars (nested lists for arrays), all of them finite."""
-    return _require_finite(name, values).tolist()
+    """values, a Python scalar or nested list of them, all of them finite."""
+    if not _all_finite(values):
+        raise _not_finite(name)
+    return values
 
 
-def _headline(cf: ClosedForms) -> dict:
-    """The published quantities of every point, keyed by sweep column."""
-    w, s = cf.w, cf.sectors
-    return {"w_0": w[..., 0], "w_1": w[..., 1], "w_2": w[..., 2],
-            "tau_2": s.tau_abc[..., 2], "c_0_ab1": s.c_ab1[..., 0],
-            "c_1_ab0": s.c_ab0[..., 1], "c_2_ab0": s.c_ab0[..., 2],
-            "c_2_ab1": s.c_ab1[..., 2]}
+def _headline(w, tau_abc, c_ab0, c_ab1) -> dict:
+    """The published quantities keyed by sweep column: w indexed by m, the measures by n."""
+    return {"w_0": w[0], "w_1": w[1], "w_2": w[2], "tau_2": tau_abc[2],
+            "c_0_ab1": c_ab1[0], "c_1_ab0": c_ab0[1], "c_2_ab0": c_ab0[2],
+            "c_2_ab1": c_ab1[2]}
 
 
-def _sector_rows(cf: ClosedForms) -> list[dict]:
+def _as_python(forms):
+    """A ClosedForms, SectorMeasures or ValidityReport of numpy values as Python values."""
+    return type(forms)(**{key: _as_python(value) if is_dataclass(value) else value.tolist()
+                          for key, value in vars(forms).items()})
+
+
+def _array_point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
+    """_point_forms evaluated by entanglement_report on 0-d arrays."""
+    from .entangle import entanglement_report, normalized_sectors, sector_measures
+
+    # a zero divisor or an overflow surfaces as inf or nan, which _report_doc refuses
+    with np.errstate(all="ignore"):
+        cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+        normalized = sector_measures(normalized_sectors(cf.amplitudes))
+    return _as_python(cf), _as_python(normalized)
+
+
+def _point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
+    """The closed forms at p and the measures of its normalized sectors, as Python values.
+
+    Each field holds what the one-point arrays of entanglement_report hold,
+    as a float, a bool or a list indexed by n (then m), from the same formula
+    lines run on Python floats.  Where a float operation raises instead of
+    giving inf or nan (a product of detunings that underflows to 0 divides
+    by zero), the point goes through entanglement_report.
+    """
+    from .amplitudes import DLE_CHANNELS, _channel_values
+    from .entangle import (TABULATED_C_AB1_FACTOR, ClosedForms, SectorMeasures,
+                           _normalized, _probabilities, _sector_values)
+
+    def measures(sectors) -> SectorMeasures:
+        per_sector = map(_sector_values, sectors, TABULATED_C_AB1_FACTOR)
+        return SectorMeasures(*map(list, zip(*per_sector)))
+
+    try:
+        values = dict(zip(DLE_CHANNELS, _channel_values(p.omega1, p.omega2, p.e0, p.lambda_)))
+        table = [[values.get((n, m), 0.0) for m in range(4)] for n in range(3)]
+        w, product_gap = _probabilities(zip(*table))
+        return (ClosedForms(table, w, product_gap, measures(table), validate_params(p)),
+                measures(map(_normalized, table)))
+    except ArithmeticError:
+        return _array_point_forms(p)
+
+
+def _sector_rows(cf: ClosedForms, normalized: SectorMeasures) -> list[dict]:
     """One entanglement row per photon number, raw and sector-normalized."""
-    from .entangle import normalized_sectors, sector_measures
-
-    normalized = sector_measures(normalized_sectors(cf.amplitudes))
     raw = {key: _finite(key, value) for key, value in vars(cf.sectors).items()}
     unit = {key: _finite(f"normalized {key}", getattr(normalized, key))
             for key in ("tau_abc", "c_ab0", "c_ab1")}
@@ -116,13 +170,13 @@ def _sector_rows(cf: ClosedForms) -> list[dict]:
 def _report_doc(p: SystemParams) -> dict:
     """Everything report prints about one point, as Python scalars."""
     from .amplitudes import DLE_CHANNELS
-    from .entangle import entanglement_report
 
     guard_detuning(p.omega2, p.e0)
-    cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+    cf, normalized = _point_forms(p)
     amps = _finite("amplitudes", cf.amplitudes)
-    probs = _finite("probabilities", cf.amplitudes ** 2)
+    probs = _finite("probabilities", [[a * a for a in row] for row in amps])
     w = _finite("w", cf.w)
+    s = cf.sectors
     return {
         "inputs": p.to_flat_dict(),
         "validity": {key: _finite(key, value) for key, value in vars(cf.validity).items()},
@@ -131,8 +185,9 @@ def _report_doc(p: SystemParams) -> dict:
                      for n, m in DLE_CHANNELS],
         "probabilities": {**{f"w_{m}": w[m] for m in range(4)},
                           "product_gap": _finite("product_gap", cf.product_gap)},
-        "entanglement": _sector_rows(cf),
-        "summary": {key: _finite(key, value) for key, value in _headline(cf).items()
+        "entanglement": _sector_rows(cf, normalized),
+        "summary": {key: _finite(key, value)
+                    for key, value in _headline(w, s.tau_abc, s.c_ab0, s.c_ab1).items()
                     if key in SUMMARY_KEYS},
     }
 
@@ -178,7 +233,8 @@ def _sweep_table(p_base: SystemParams, omega2: np.ndarray) -> tuple[Table, dict]
     from .serialize import Table
 
     cf = entanglement_report(p_base.omega1, omega2, p_base.e0, p_base.lambda_)
-    columns = {"omega2": omega2, **_headline(cf),
+    s = cf.sectors
+    columns = {"omega2": omega2, **_headline(cf.w.T, s.tau_abc.T, s.c_ab0.T, s.c_ab1.T),
                "perturbative_ok": cf.validity.perturbative_ok}
     flags = _monotone_flags(omega2, columns["tau_2"], p_base.e0)
     return Table({key: _require_finite(key, columns[key]) for key in SWEEP_COLUMNS}), flags
@@ -211,10 +267,12 @@ def cmd_sweep(args) -> int:
         raise ParameterDomainError(f"steps must be >= 2, got {steps}")
     if steps > MAX_SWEEP_STEPS:
         raise ParameterDomainError(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
-    grid = lo + (hi - lo) * np.arange(steps) / (steps - 1)
-    omega2 = grid[~(abs(grid - p_base.e0) < SWEEP_GUARD_BAND * p_base.e0)]
-    skipped = steps - omega2.size
-    text, flags = _sweep_text(args.format, p_base, omega2, skipped)
+    # a zero divisor or an overflow surfaces as inf or nan, which _sweep_table refuses
+    with np.errstate(all="ignore"):
+        grid = lo + (hi - lo) * np.arange(steps) / (steps - 1)
+        omega2 = grid[~(abs(grid - p_base.e0) < SWEEP_GUARD_BAND * p_base.e0)]
+        skipped = steps - omega2.size
+        text, flags = _sweep_text(args.format, p_base, omega2, skipped)
     sys.stdout.write(text)
     if args.format == "csv":
         print(f"skipped: {skipped}", file=sys.stderr)
@@ -240,7 +298,14 @@ def cmd_validate(args) -> int:
     rows = []
     failures = []
     for rwa in rwa_settings:
-        table = oracle.compare_with_closed_forms(p, scales, include_rwa=rwa)
+        # a zero divisor or an overflow surfaces as inf or nan, refused below
+        with np.errstate(all="ignore"):
+            table = oracle.compare_with_closed_forms(p, scales, include_rwa=rwa)
+        for r in table:
+            for key in ("closed_form", "oracle", "rel_dev"):
+                if r[key] is not None and not math.isfinite(r[key]):
+                    raise _not_finite(f"{key} of channel ({r['channel_n']}, {r['channel_m']}) "
+                                      f"(include_rwa={rwa}) at lambda scale {r['lambda_scale']}")
         rows.extend(table)
         for channel in oracle.GATED_CHANNELS:
             factors = oracle.shrink_factors(table, channel)
@@ -293,9 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # overflow surfaces as inf or nan, which every command turns into exit code 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (ParameterDomainError, SingularityError, TruncationHeadroomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,13 +18,19 @@ it is degree-4 homogeneous, so unnormalized sectors scale as |k|^4).  The
 pair concurrence with the third qubit fixed to 0 or 1 is 2|ad - bc| of the
 remaining 2x2 block: C|n>_AB0 = 2|a0 a2 - a1^2|, C|n>_AB1 = 2|a1 a3 - a2^2|.
 
-entanglement_report evaluates every closed form once over numpy parameter
-arrays; the CLI's report runs it at one point and its sweep over a grid.
-Raw sector values reproduce the published numbers; a normalized variant
-(each sector scaled to unit norm) is reported alongside as a diagnostic.
+Each closed form is written once, in a private helper that runs
+elementwise on Python floats or on numpy arrays: _probabilities (w_m and the
+product gap), _sector_values (the SectorMeasures fields of one sector) and
+_normalized (one sector scaled to unit norm).  entanglement_report,
+sector_measures and normalized_sectors assemble arrays from them for the
+CLI's sweep; the CLI's report runs the same lines on the Python floats of
+its one point.  Raw sector values reproduce the published numbers; a
+normalized variant (each sector scaled to unit norm) is reported alongside
+as a diagnostic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,18 +54,21 @@ _SPIN_FLIP = np.array([
 #: Published C|n>_AB1 over the formula-path value 2|a1 a3 - a2^2|, for n = 0, 1, 2.
 #: The paper tabulates C|2>_AB1 = 8 lam^4 / ((w2+E0)(w1+E0))^2, half the
 #: formula value; the report prints both and flags the mismatch.
-TABULATED_C_AB1_FACTOR = np.array([1.0, 1.0, 0.5])
+TABULATED_C_AB1_FACTOR = (1.0, 1.0, 0.5)
 
 #: Qubit bits (i, j, k) of coefficient a[4i + 2j + k].
 _BITS = tuple(itertools.product((0, 1), repeat=3))
 
 #: Number of excited qubits of each coefficient a[4i + 2j + k].
-_EXCITATIONS = np.array([sum(bits) for bits in _BITS])
+_EXCITATIONS = tuple(sum(bits) for bits in _BITS)
 
 
 @dataclass(frozen=True)
 class SectorMeasures:
-    """Entanglement of the photon-number sectors; each field's last axis is n = 0, 1, 2."""
+    """Entanglement of the photon-number sectors; each field's last axis is n = 0, 1, 2.
+
+    The CLI's report holds one point's fields as Python lists indexed by n.
+    """
 
     tau_abc: np.ndarray
     c_ab0: np.ndarray
@@ -70,7 +79,11 @@ class SectorMeasures:
 
 @dataclass(frozen=True)
 class ClosedForms:
-    """Every closed-form result at the broadcast shape of the parameter arrays."""
+    """Every closed-form result at the broadcast shape of the parameter arrays.
+
+    The CLI's report holds one point's fields as Python floats, bools and
+    lists, indexed as the arrays are.
+    """
 
     amplitudes: np.ndarray  # A[..., n, m], n = 0..2, m = 0..3
     w: np.ndarray  # w[..., m], the sum over n of A(n; m)^2
@@ -85,7 +98,7 @@ def _d_invariants(a):
     # a_ijk a_(1-i)(1-j)(1-k): d1 of their squares, d2 of their distinct pairs.
     p000, p001, p010, p100 = (c[0, 0, 0] * c[1, 1, 1], c[0, 0, 1] * c[1, 1, 0],
                               c[0, 1, 0] * c[1, 0, 1], c[1, 0, 0] * c[0, 1, 1])
-    d1 = p000 ** 2 + p001 ** 2 + p010 ** 2 + p100 ** 2
+    d1 = p000 * p000 + p001 * p001 + p010 * p010 + p100 * p100
     d2 = (p000 * p100 + p000 * p010 + p000 * p001
           + p100 * p010 + p100 * p001 + p010 * p001)
     d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
@@ -120,31 +133,69 @@ def symmetric_sector(table) -> list[np.ndarray]:
     return [table[..., m] for m in _EXCITATIONS]
 
 
+def _probabilities(columns):
+    """w_m = A(0; m)^2 + A(1; m)^2 + A(2; m)^2 for each column, and the gap w_2 - w_1^2.
+
+    columns holds (A(0; m), A(1; m), A(2; m)) for m = 0..3, as Python floats
+    or as arrays, elementwise.  Squares are products and the sum a left fold,
+    which is what numpy's square and 3-term axis sum compute.
+    """
+    w = [(a0 * a0 + a1 * a1) + a2 * a2 for a0, a1, a2 in columns]
+    return w, w[2] - w[1] * w[1]
+
+
+def _sector_values(a, factor):
+    """The SectorMeasures fields, in order, of one sector a = (A(n; 0), ..., A(n; 3)).
+
+    Elementwise on Python floats or on arrays; factor is the sector's
+    TABULATED_C_AB1_FACTOR.  The mismatch test, |formula - c_ab1| >
+    1e-12 max(|formula|, |c_ab1|, 1e-300), is written as one comparison per
+    term of the max, all of which must hold: rounding is monotone, so
+    1e-12 max(x, y, z) = max(1e-12 x, 1e-12 y, 1e-12 z).
+    """
+    a0, a1, a2, a3 = a
+    formula = concurrence_pair_general(a1, a2, a2, a3)
+    c_ab1 = factor * formula
+    diff = abs(formula - c_ab1)
+    mismatch = ((diff > 1e-12 * abs(formula)) & (diff > 1e-12 * abs(c_ab1))
+                & (diff > 1e-12 * 1e-300))
+    return (residual_tangle_general([a[m] for m in _EXCITATIONS]),
+            concurrence_pair_general(a0, a1, a1, a2), c_ab1, formula, mismatch)
+
+
+def _divide_positive(x, d, keep: bool):
+    """x / d where d > 0; elsewhere x if keep, else 0.  An array x is overwritten if keep."""
+    if isinstance(x, float):
+        return x / d if d > 0 else x if keep else 0.0
+    return np.divide(x, d, out=x if keep else np.zeros_like(x), where=d > 0)
+
+
+def _normalized(a):
+    """One sector a = (A(n; 0), ..., A(n; 3)) scaled to unit norm; a zero sector stays zero.
+
+    Elementwise on finite Python floats or on arrays.  Dividing by the
+    largest |A(n; m)| first keeps the norm representable for sectors far
+    below or above unit size.
+    """
+    if isinstance(a[0], float):
+        peak, sqrt = max(map(abs, a)), math.sqrt
+    else:
+        peak, sqrt = functools.reduce(np.maximum, map(abs, a)), np.sqrt
+    unit = [_divide_positive(x, peak, keep=False) for x in a]
+    t0, t1, t2, t3 = [u * u * k for u, k in zip(unit, CLASS_MULTIPLICITY)]
+    norm = sqrt(((t0 + t1) + t2) + t3)
+    return [_divide_positive(u, norm, keep=True) for u in unit]
+
+
 def sector_measures(table) -> SectorMeasures:
     """Tangle and pair concurrences of each photon-number sector of A[..., n, m]."""
-    a0, a1, a2, a3 = np.moveaxis(np.asarray(table), -1, 0)
-    formula = concurrence_pair_general(a1, a2, a2, a3)
-    c_ab1 = TABULATED_C_AB1_FACTOR * formula
-    scale = np.maximum(np.maximum(abs(formula), abs(c_ab1)), 1e-300)
-    return SectorMeasures(
-        tau_abc=residual_tangle_general(symmetric_sector(table)),
-        c_ab0=concurrence_pair_general(a0, a1, a1, a2),
-        c_ab1=c_ab1,
-        c_ab1_formula_path=formula,
-        formula_path_mismatch=abs(formula - c_ab1) > 1e-12 * scale)
+    sectors = np.moveaxis(np.asarray(table), -1, 0)
+    return SectorMeasures(*_sector_values(sectors, np.array(TABULATED_C_AB1_FACTOR)))
 
 
 def normalized_sectors(table) -> np.ndarray:
-    """A[..., n, m] with each n-photon sector scaled to unit norm; zero sectors stay zero.
-
-    Dividing by the largest |A(n; m)| first keeps the norm representable for
-    sectors far below or above unit size.
-    """
-    table = np.asarray(table, dtype=float)
-    peak = abs(table).max(axis=-1, keepdims=True)
-    unit = np.divide(table, peak, out=np.zeros_like(table), where=peak > 0)
-    norm = np.sqrt((unit ** 2 * CLASS_MULTIPLICITY).sum(axis=-1, keepdims=True))
-    return np.divide(unit, norm, out=unit, where=norm > 0)
+    """A[..., n, m] with each n-photon sector scaled to unit norm; zero sectors stay zero."""
+    return np.stack(_normalized(np.moveaxis(np.asarray(table, dtype=float), -1, 0)), axis=-1)
 
 
 def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
@@ -157,12 +208,10 @@ def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
     omega1, omega2, e0, lam = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (omega1, omega2, e0, lam)))
     table = amplitude_table(omega1, omega2, e0, lam)
-    w = (table ** 2).sum(axis=-2)
+    w, product_gap = _probabilities(np.moveaxis(table, (-1, -2), (0, 1)))
     point = SimpleNamespace(omega1=omega1, omega2=omega2, e0=e0, lambda_=lam)
-    return ClosedForms(amplitudes=table, w=w,
-                       product_gap=w[..., 2] - w[..., 1] ** 2,
-                       sectors=sector_measures(table),
-                       validity=validate_params(point))
+    return ClosedForms(amplitudes=table, w=np.stack(w, axis=-1), product_gap=product_gap,
+                       sectors=sector_measures(table), validity=validate_params(point))
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:

@@ -400,6 +400,12 @@ class TestFiniteInputs:
         (["validate", *POINT, "--omega2-ghz", "4.5", "--lambda-ghz", "1e300"], 2),
         (["validate", "--omega1-ghz", "1e300", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
           "--lambda-ghz", "0.02"], 2),
+        # products of two detunings underflow to 0 and divide by zero
+        *[([*argv, "--omega1-ghz", "1e-200", "--e0-ghz", "1.5e-200", "--lambda-ghz", "0.2",
+            "--format", fmt], 2)
+          for argv in (["report", "--omega2-ghz", "2e-200"],
+                       ["sweep", "--omega2-min-ghz", "1e-200", "--omega2-max-ghz", "2e-200"])
+          for fmt in ("json", "csv")],
     ])
     def test_no_traceback(self, capsys, argv, code):
         # a cold process would print each warning on stderr; here they are recorded
@@ -415,7 +421,21 @@ class TestFiniteInputs:
             assert floats and all(math.isfinite(x) for x in floats)
         else:
             assert out == ""
-            assert err.startswith("error: ")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_validate_non_finite_closed_form_exits_2(self, capsys, fmt):
+        # lambda^2 and the detuning products underflow: A(2;0), A(0;2), A(2;2) are 0/0
+        argv = ["validate", "--omega1-ghz", "5e-170", "--omega2-ghz", "4.5e-170",
+                "--e0-ghz", "3.721e-170", "--lambda-ghz", "2e-172", "--format", fmt]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert err == ("error: closed_form of channel (2, 0) (include_rwa=False) at lambda "
+                       "scale 1.0 is not finite at these parameters "
+                       "(outside double-precision range)\n")
 
     def test_non_finite_sweep_bound_named(self, capsys):
         code, _, err = run(capsys, [*SWEEP_BASE, "--omega2-min-ghz", "3.73",

@@ -1,20 +1,23 @@
-"""Properties of the array evaluator behind report and sweep.
+"""Properties of the closed-form evaluator behind report and sweep.
 
 The paper's per-n closed forms live here as the reference the evaluator is
 checked against; the package derives every sector measure from the
 amplitude table through residual_tangle_general and concurrence_pair_general.
+sweep runs the formula lines on numpy arrays and report on the Python floats
+of its one point; both must print the same bits.
 """
 import contextlib
 import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dle3q import entanglement_report
+from dle3q import SystemParams, cli, entanglement_report
 from dle3q.cli import main
 from dle3q.serialize import json_dumps
 
@@ -126,3 +129,31 @@ def test_report_json_round_trips(omega1, omega2, e0, lam):
     out = run_json(["report", "--omega1-ghz", repr(omega1), "--omega2-ghz", repr(omega2),
                             "--e0-ghz", repr(e0), "--lambda-ghz", repr(lam)])
     assert json_dumps(json.loads(out)) == out
+
+
+def report_doc(p, forms):
+    """report's document at p with its closed forms from forms, or the error line it prints."""
+    with mock.patch.object(cli, "_point_forms", forms):
+        try:
+            return repr(cli._report_doc(p))  # repr keeps every bit and the sign of zero
+        except ValueError as exc:  # the errors main prints as one line
+            return type(exc), str(exc)
+
+
+#: Frequency scales from the top of double range to where products of detunings underflow.
+scales = st.integers(min_value=-175, max_value=150).map(lambda k: 10.0 ** k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega1=frequencies, omega2=frequencies, e0=frequencies, scale=scales,
+       lam=st.one_of(couplings, st.floats(min_value=5e-324, max_value=2.2e-308),
+                     st.floats(min_value=1e-200, max_value=1e200)))
+@example(omega1=1.0, omega2=2.0, e0=1.5, scale=1e-200, lam=0.2)  # float division by zero
+@example(omega1=5.0, omega2=3.75, e0=3.721, scale=1e150, lam=1e-323)
+@example(omega1=5.0, omega2=3.75, e0=3.721, scale=1e-150, lam=1e-140)
+@example(omega1=5.0, omega2=3.75, e0=3.721, scale=1.0, lam=1e100)  # squares overflow
+def test_report_floats_equal_one_point_arrays(omega1, omega2, e0, scale, lam):
+    omega1, omega2, e0 = omega1 * scale, omega2 * scale, e0 * scale
+    assume(omega1 != e0 and omega2 != e0)
+    p = SystemParams(omega1, omega2, e0, lam)
+    assert report_doc(p, cli._point_forms) == report_doc(p, cli._array_point_forms)

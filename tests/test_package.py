@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import CASES, GOLDEN
 
 import dle3q
 
@@ -100,3 +101,27 @@ def test_command_loads_only_its_layers(case, tmp_path):
     assert code == "0"
     assert loaded.split() == sorted(modules)
     assert libs == f"{json_loaded} True"
+
+
+#: Replaces every public numpy callable with one that raises, then runs the CLI.
+NUMPY_REFUSED = """\
+import sys
+import numpy
+from dle3q import amplitudes, cli, entangle, errors, params, serialize
+
+def refuse(*args, **kwargs):
+    raise AssertionError("report called numpy")
+
+# listed before any is replaced: looking a name up may import a numpy submodule
+public = [name for name in dir(numpy)
+          if not name.startswith("_") and callable(getattr(numpy, name))]
+for name in public:
+    setattr(numpy, name, refuse)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name", ["report_paper.json", "report_paper.csv"])
+def test_report_calls_no_numpy(name):
+    lines = _fresh_process(NUMPY_REFUSED, *CASES[name])
+    assert lines == (GOLDEN / name).read_text().splitlines()
