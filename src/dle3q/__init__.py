@@ -19,8 +19,7 @@ _HOME = {
     "ClosedForms": "entangle", "SectorMeasures": "entangle",
     "concurrence_mixed": "entangle", "concurrence_pair_general": "entangle",
     "entanglement_report": "entangle", "monogamy_residual": "entangle",
-    "normalized_sectors": "entangle", "residual_tangle_general": "entangle",
-    "sector_measures": "entangle", "symmetric_sector": "entangle",
+    "residual_tangle_general": "entangle", "sector_measures": "entangle",
     "DegeneracyAmbiguityError": "errors", "NormalizationError": "errors",
     "ParameterDomainError": "errors", "SingularityError": "errors",
     "SolverDiagnosticsError": "errors", "TruncationHeadroomError": "errors",

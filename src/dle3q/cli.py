@@ -8,12 +8,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import is_dataclass
 from typing import TYPE_CHECKING
 
-# Only sweep, validate and report's fallback call numpy; report evaluates its one
-# point on Python floats. The import stays eager because benchmarks/run.py
-# --trace 1 reads numpy's -X importtime under dle3q.cli.
+# Only sweep and validate call numpy; report evaluates its one point on Python
+# floats. The import stays eager because benchmarks/run.py --trace 1 reads
+# numpy's -X importtime under dle3q.cli.
 import numpy as np
 
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
@@ -113,31 +112,14 @@ def _headline(w, tau_abc, c_ab0, c_ab1) -> dict:
             "c_2_ab1": c_ab1[2]}
 
 
-def _as_python(forms):
-    """A ClosedForms, SectorMeasures or ValidityReport of numpy values as Python values."""
-    return type(forms)(**{key: _as_python(value) if is_dataclass(value) else value.tolist()
-                          for key, value in vars(forms).items()})
-
-
-def _array_point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
-    """_point_forms evaluated by entanglement_report on 0-d arrays."""
-    from .entangle import entanglement_report, normalized_sectors, sector_measures
-
-    # a zero divisor or an overflow surfaces as inf or nan, which _report_doc refuses
-    with np.errstate(all="ignore"):
-        cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
-        normalized = sector_measures(normalized_sectors(cf.amplitudes))
-    return _as_python(cf), _as_python(normalized)
-
-
 def _point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
     """The closed forms at p and the measures of its normalized sectors, as Python values.
 
     Each field holds what the one-point arrays of entanglement_report hold,
     as a float, a bool or a list indexed by n (then m), from the same formula
-    lines run on Python floats.  Where a float operation raises instead of
-    giving inf or nan (a product of detunings that underflows to 0 divides
-    by zero), the point goes through entanglement_report.
+    lines run on Python floats.  A product of detunings that underflows to 0
+    divides by zero, where the arrays hold inf or nan in that amplitude, so
+    the point is refused as report refuses a non-finite amplitude.
     """
     from .amplitudes import DLE_CHANNELS, _channel_values
     from .entangle import (TABULATED_C_AB1_FACTOR, ClosedForms, SectorMeasures,
@@ -149,12 +131,12 @@ def _point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
 
     try:
         values = dict(zip(DLE_CHANNELS, _channel_values(p.omega1, p.omega2, p.e0, p.lambda_)))
-        table = [[values.get((n, m), 0.0) for m in range(4)] for n in range(3)]
-        w, product_gap = _probabilities(zip(*table))
-        return (ClosedForms(table, w, product_gap, measures(table), validate_params(p)),
-                measures(map(_normalized, table)))
-    except ArithmeticError:
-        return _array_point_forms(p)
+    except ZeroDivisionError:
+        raise _not_finite("amplitudes") from None
+    table = [[values.get((n, m), 0.0) for m in range(4)] for n in range(3)]
+    w, product_gap = _probabilities(zip(*table))
+    return (ClosedForms(table, w, product_gap, measures(table), validate_params(p)),
+            measures(map(_normalized, table)))
 
 
 def _sector_rows(cf: ClosedForms, normalized: SectorMeasures) -> list[dict]:

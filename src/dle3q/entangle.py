@@ -20,17 +20,15 @@ remaining 2x2 block: C|n>_AB0 = 2|a0 a2 - a1^2|, C|n>_AB1 = 2|a1 a3 - a2^2|.
 
 Each closed form is written once, in a private helper that runs
 elementwise on Python floats or on numpy arrays: _probabilities (w_m and the
-product gap), _sector_values (the SectorMeasures fields of one sector) and
-_normalized (one sector scaled to unit norm).  entanglement_report,
-sector_measures and normalized_sectors assemble arrays from them for the
+product gap) and _sector_values (the SectorMeasures fields of one sector).
+entanglement_report and sector_measures assemble arrays from them for the
 CLI's sweep; the CLI's report runs the same lines on the Python floats of
-its one point.  Raw sector values reproduce the published numbers; a
-normalized variant (each sector scaled to unit norm) is reported alongside
-as a diagnostic.
+its one point.  Raw sector values reproduce the published numbers; report
+prints a normalized variant alongside as a diagnostic, each sector scaled
+to unit norm by _normalized, which takes Python floats only.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -124,15 +122,6 @@ def concurrence_pair_general(a, b, c, d):
     return 2.0 * abs(a * d - b * c)
 
 
-def symmetric_sector(table) -> list[np.ndarray]:
-    """Coefficients a[4i + 2j + k] = A[..., n, i + j + k] of every photon-number sector.
-
-    Each entry is a view of the table with shape table.shape[:-1].
-    """
-    table = np.asarray(table)
-    return [table[..., m] for m in _EXCITATIONS]
-
-
 def _probabilities(columns):
     """w_m = A(0; m)^2 + A(1; m)^2 + A(2; m)^2 for each column, and the gap w_2 - w_1^2.
 
@@ -148,54 +137,33 @@ def _sector_values(a, factor):
     """The SectorMeasures fields, in order, of one sector a = (A(n; 0), ..., A(n; 3)).
 
     Elementwise on Python floats or on arrays; factor is the sector's
-    TABULATED_C_AB1_FACTOR.  The mismatch test, |formula - c_ab1| >
-    1e-12 max(|formula|, |c_ab1|, 1e-300), is written as one comparison per
-    term of the max, all of which must hold: rounding is monotone, so
-    1e-12 max(x, y, z) = max(1e-12 x, 1e-12 y, 1e-12 z).
+    TABULATED_C_AB1_FACTOR.  The factor is 1.0 or 0.5, so c_ab1 differs from
+    the formula value exactly where the tabulated convention changes it.
     """
     a0, a1, a2, a3 = a
     formula = concurrence_pair_general(a1, a2, a2, a3)
     c_ab1 = factor * formula
-    diff = abs(formula - c_ab1)
-    mismatch = ((diff > 1e-12 * abs(formula)) & (diff > 1e-12 * abs(c_ab1))
-                & (diff > 1e-12 * 1e-300))
     return (residual_tangle_general([a[m] for m in _EXCITATIONS]),
-            concurrence_pair_general(a0, a1, a1, a2), c_ab1, formula, mismatch)
-
-
-def _divide_positive(x, d, keep: bool):
-    """x / d where d > 0; elsewhere x if keep, else 0.  An array x is overwritten if keep."""
-    if isinstance(x, float):
-        return x / d if d > 0 else x if keep else 0.0
-    return np.divide(x, d, out=x if keep else np.zeros_like(x), where=d > 0)
+            concurrence_pair_general(a0, a1, a1, a2), c_ab1, formula, c_ab1 != formula)
 
 
 def _normalized(a):
-    """One sector a = (A(n; 0), ..., A(n; 3)) scaled to unit norm; a zero sector stays zero.
+    """One sector a = (A(n; 0), ..., A(n; 3)) of Python floats scaled to unit norm.
 
-    Elementwise on finite Python floats or on arrays.  Dividing by the
-    largest |A(n; m)| first keeps the norm representable for sectors far
-    below or above unit size.
+    A zero sector stays zero.  Dividing by the largest |A(n; m)| first keeps
+    the norm representable for sectors far below or above unit size.
     """
-    if isinstance(a[0], float):
-        peak, sqrt = max(map(abs, a)), math.sqrt
-    else:
-        peak, sqrt = functools.reduce(np.maximum, map(abs, a)), np.sqrt
-    unit = [_divide_positive(x, peak, keep=False) for x in a]
+    peak = max(map(abs, a))
+    unit = [x / peak if peak > 0 else 0.0 for x in a]
     t0, t1, t2, t3 = [u * u * k for u, k in zip(unit, CLASS_MULTIPLICITY)]
-    norm = sqrt(((t0 + t1) + t2) + t3)
-    return [_divide_positive(u, norm, keep=True) for u in unit]
+    norm = math.sqrt(((t0 + t1) + t2) + t3)
+    return [u / norm if norm > 0 else u for u in unit]
 
 
 def sector_measures(table) -> SectorMeasures:
     """Tangle and pair concurrences of each photon-number sector of A[..., n, m]."""
     sectors = np.moveaxis(np.asarray(table), -1, 0)
     return SectorMeasures(*_sector_values(sectors, np.array(TABULATED_C_AB1_FACTOR)))
-
-
-def normalized_sectors(table) -> np.ndarray:
-    """A[..., n, m] with each n-photon sector scaled to unit norm; zero sectors stay zero."""
-    return np.stack(_normalized(np.moveaxis(np.asarray(table, dtype=float), -1, 0)), axis=-1)
 
 
 def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:

@@ -19,6 +19,11 @@ GUARD_BAND = ["--omega1-ghz", "5", "--omega2-ghz", "3.721000000001", "--e0-ghz",
               "--lambda-ghz", "0.02"]
 
 
+#: report's one stderr line where products of two detunings underflow to 0.
+AMPLITUDES_NOT_FINITE = ("error: amplitudes is not finite at these parameters "
+                         "(outside double-precision range)\n")
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -57,6 +62,18 @@ class TestReport:
             2 * rows[2]["c_ab1"], rel=1e-9)
         assert rows[2]["formula_path_mismatch"] is True
         assert "normalized_variant" in rows[1]
+
+    def test_subnormal_c2_ab1_still_flagged(self, capsys):
+        # C|2>_AB1 is subnormal here, and still exactly half the formula-path value
+        code, out, _ = run(capsys, [
+            "report", "--omega1-ghz", "6.750983125481578e-25",
+            "--omega2-ghz", "2.540852473056731e-25", "--e0-ghz", "4.142268100881657e-25",
+            "--lambda-ghz", "1.9841513792509973e-104"])
+        assert code == 0
+        row = json.loads(out)["entanglement"][2]
+        assert 0.0 < row["c_ab1"] < 1e-312
+        assert row["c_ab1_formula_path"] == 2 * row["c_ab1"]
+        assert row["formula_path_mismatch"] is True
 
     def test_csv_long_format(self, capsys):
         code, out, _ = run(capsys, ["report", *PAPER_FLAGS, "--format", "csv"])
@@ -422,6 +439,8 @@ class TestFiniteInputs:
         else:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+            if argv[:3] == ["report", "--omega2-ghz", "2e-200"]:
+                assert err == AMPLITUDES_NOT_FINITE
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_validate_non_finite_closed_form_exits_2(self, capsys, fmt):

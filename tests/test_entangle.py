@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from dle3q import (NormalizationError, SingularityError, SystemParams,
                    amplitude_table, compare_with_closed_forms, concurrence_mixed,
                    concurrence_pair_general, entanglement_report,
-                   guard_detuning, monogamy_residual, normalized_sectors,
-                   residual_tangle_general, sector_measures, symmetric_sector)
+                   guard_detuning, monogamy_residual, residual_tangle_general,
+                   sector_measures)
+from dle3q.entangle import _EXCITATIONS, _normalized
 
 GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2)
 W_STATE = np.zeros(8)
@@ -165,7 +166,7 @@ class TestConditionalConcurrence:
 
     def test_report_normalized_variant_scaling(self, paper_params):
         cf = evaluate(paper_params)
-        normalized = sector_measures(normalized_sectors(cf.amplitudes))
+        normalized = sector_measures([_normalized(a) for a in cf.amplitudes.tolist()])
         for n in (0, 1, 2):
             norm2 = sum(abs(c) ** 2 for c in closed_form_sector(n, paper_params))
             assert normalized.tau_abc[n] == pytest.approx(
@@ -180,9 +181,9 @@ class TestConditionalConcurrence:
 
 class TestConditionalStateMapping:
     def test_sector_contract(self, paper_params):
-        coefficients = symmetric_sector(evaluate(paper_params).amplitudes)
+        table = evaluate(paper_params).amplitudes
         for n in (0, 1, 2):
-            cs = [c[n] for c in coefficients]
+            cs = [table[n, m] for m in _EXCITATIONS]
             assert cs == closed_form_sector(n, paper_params)
             assert cs[0b111] == 0.0
 
