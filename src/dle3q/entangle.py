@@ -182,22 +182,30 @@ def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
                        sectors=sector_measures(table), validity=validate_params(point))
 
 
-def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix."""
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def concurrence_mixed(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def _wootters(rho: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Wootters concurrences of a stack rho[k, 4, 4] of Hermitian matrices.
 
     Standard spin-flip construction: C = max(0, l1 - l2 - l3 - l4) with l_i
     the decreasing square roots of the eigenvalues of rho * rho_tilde.
     Computed as the singular values of sqrt(rho)^T (sy x sy) sqrt(rho),
     which is the same spectrum evaluated without differencing noisy
-    near-zero eigenvalues.  Raises ValueError for a matrix that is not 4x4,
-    holds a NaN or infinite entry, or is not Hermitian.
+    near-zero eigenvalues.  One eigh gives every principal square root
+    (negative eigenvalues clipped to 0) and one svd every spectrum.
+    Returns the k concurrences as Python floats and the ascending
+    eigenvalues w[k, 4] of each matrix, for the caller's PSD check.
+    """
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    lam = np.linalg.svd(root.swapaxes(1, 2) @ _SPIN_FLIP @ root, compute_uv=False)
+    return [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam.tolist()], w
+
+
+def concurrence_mixed(rho: np.ndarray) -> float:
+    """Wootters concurrence of a two-qubit density matrix (see _wootters).
+
+    Raises ValueError for a matrix that is not 4x4, holds a NaN or infinite
+    entry, is not Hermitian, or is not positive semidefinite (an eigenvalue
+    below -1e-10 times its largest entry).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -208,17 +216,18 @@ def concurrence_mixed(rho: np.ndarray) -> float:
     scale = max(peak, 1e-300)
     if np.abs(rho - rho.conj().T).max() > 1e-10 * scale:
         raise ValueError("density matrix is not Hermitian")
-    root = _sqrt_psd(rho)
-    lam = np.linalg.svd(root.T @ _SPIN_FLIP @ root, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    (concurrence,), w = _wootters(rho[None])
+    if w[0, 0] < -1e-10 * scale:
+        raise ValueError(f"density matrix is not positive semidefinite "
+                         f"(eigenvalue {w[0, 0]:.3e})")
+    return concurrence
 
 
-def _reduced_pair(psi: np.ndarray, keep: tuple[int, int]) -> np.ndarray:
-    """Density matrix of two qubit slots of a pure 3-qubit state."""
-    t = psi.reshape(2, 2, 2)
-    other = next(ax for ax in range(3) if ax not in keep)
-    m = np.transpose(t, (*keep, other)).reshape(4, 2)
-    return m @ m.conj().T
+#: psi[_PAIR_INDEX] is the (2, 4, 2) stack of factors M with rho = M M^dagger
+#: for the qubit pairs AB and AC: row 2i + j (AB) or 2i + k (AC), column the
+#: traced qubit, entry a[4i + 2j + k].
+_PAIR_INDEX = np.array([[[0, 1], [2, 3], [4, 5], [6, 7]],
+                        [[0, 2], [1, 3], [4, 6], [5, 7]]])
 
 
 def monogamy_residual(a, normalized: bool = True) -> float:
@@ -227,17 +236,24 @@ def monogamy_residual(a, normalized: bool = True) -> float:
     tau_A(BC) = 4 det(rho_A).  Zero (to numerical precision) for normalized
     pure states; that equality is the Coffman monogamy relation, stated here
     only where it is a theorem, hence the normalization check, which a NaN
-    or infinite coefficient fails too.  Raises ValueError unless a holds
-    eight finite coefficients.
+    or infinite coefficient fails too.  Both pair concurrences come from one
+    stacked Wootters solve; rho_A and the three-tangle are evaluated on
+    Python scalars.  Raises ValueError unless a holds eight finite
+    coefficients whose squared norm is finite.
     """
     psi = np.asarray(a, dtype=complex).reshape(8)
+    c = psi.tolist()
+    # rho_A = [[r00, r01], [conj(r01), r11]]: sums over the B and C bits
+    r00 = sum(z.real * z.real + z.imag * z.imag for z in c[:4])
+    r11 = sum(z.real * z.real + z.imag * z.imag for z in c[4:])
+    r01 = sum(x * y.conjugate() for x, y in zip(c[:4], c[4:]))
     if normalized:
-        norm = float(np.linalg.norm(psi))
+        norm = math.sqrt(r00 + r11)
         if not abs(norm - 1.0) <= 1e-10:
             raise NormalizationError(f"state norm {norm} differs from 1 beyond 1e-10")
-    t = psi.reshape(2, 2, 2)
-    rho_a = np.einsum("ijk,ljk->il", t, t.conj())
-    tau_a_bc = 4.0 * float(np.linalg.det(rho_a).real)
-    c_ab = concurrence_mixed(_reduced_pair(psi, (0, 1)))
-    c_ac = concurrence_mixed(_reduced_pair(psi, (0, 2)))
-    return tau_a_bc - c_ab ** 2 - c_ac ** 2 - residual_tangle_general(psi)
+    elif not math.isfinite(r00 + r11):
+        raise ValueError("state has a non-finite coefficient or squared norm")
+    tau_a_bc = 4.0 * (r00 * r11 - (r01.real * r01.real + r01.imag * r01.imag))
+    m = psi[_PAIR_INDEX]
+    c_ab, c_ac = _wootters(m @ m.conj().swapaxes(1, 2))[0]
+    return tau_a_bc - c_ab ** 2 - c_ac ** 2 - residual_tangle_general(c)

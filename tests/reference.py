@@ -29,6 +29,9 @@ lowering an excited qubit contributes +lam*sqrt(n)/(omega+E0) at n-1 and
 normalized_sectors is the array route to report's normalized variant: the
 package scales one sector at a time on Python floats, and the tests compare
 it with this whole-table evaluation.
+
+reduced_pair is the one-matrix route to a two-qubit reduced density matrix,
+against which the package's stacked monogamy solve is checked.
 """
 from __future__ import annotations
 
@@ -380,3 +383,11 @@ def _normalized(a):
 def normalized_sectors(table) -> np.ndarray:
     """A[..., n, m] with each n-photon sector scaled to unit norm; zero sectors stay zero."""
     return np.stack(_normalized(np.moveaxis(np.asarray(table, dtype=float), -1, 0)), axis=-1)
+
+
+def reduced_pair(psi: np.ndarray, keep: tuple[int, int]) -> np.ndarray:
+    """Density matrix of two qubit slots of a pure 3-qubit state a[4i + 2j + k]."""
+    t = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
+    other = next(ax for ax in range(3) if ax not in keep)
+    m = np.transpose(t, (*keep, other)).reshape(4, 2)
+    return m @ m.conj().T

@@ -10,7 +10,8 @@ from dle3q import (NormalizationError, SingularityError, SystemParams,
                    concurrence_pair_general, entanglement_report,
                    guard_detuning, monogamy_residual, residual_tangle_general,
                    sector_measures)
-from dle3q.entangle import _EXCITATIONS, _normalized
+from dle3q.entangle import _EXCITATIONS, _PAIR_INDEX, _normalized, _wootters
+from reference import reduced_pair
 
 GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2)
 W_STATE = np.zeros(8)
@@ -227,6 +228,23 @@ class TestMixedConcurrence:
         with pytest.raises(ValueError, match="Hermitian"):
             concurrence_mixed(rho)
 
+    @pytest.mark.parametrize("rho", [
+        -np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2,  # minus the Bell projector
+        np.diag([1.5, -0.5, 0.0, 0.0]),
+    ], ids=["negative-bell", "negative-eigenvalue"])
+    def test_positive_semidefinite_guard(self, rho):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            concurrence_mixed(rho)
+
+    def test_stacked_pairs_match_single_matrix_path(self):
+        for psi in random_pure_states(200, seed=20261019):
+            pairs = [reduced_pair(psi, (0, 1)), reduced_pair(psi, (0, 2))]
+            m = psi[_PAIR_INDEX]  # the stack monogamy_residual solves
+            np.testing.assert_allclose(m @ m.conj().swapaxes(1, 2), pairs, rtol=0, atol=1e-15)
+            stacked, _ = _wootters(np.stack(pairs))
+            for value, rho in zip(stacked, pairs):
+                assert value == pytest.approx(concurrence_mixed(rho), abs=1e-12)
+
 
 class TestMonogamy:
     def test_ghz(self):
@@ -235,9 +253,16 @@ class TestMonogamy:
     def test_w_state_pieces(self):
         # tau_A(BC) = 8/9, C_AB^2 = C_AC^2 = 4/9, tau_ABC = 0
         assert monogamy_residual(W_STATE) == pytest.approx(0.0, abs=1e-12)
-        from dle3q.entangle import _reduced_pair
-        assert concurrence_mixed(_reduced_pair(W_STATE.astype(complex), (0, 1))) ** 2 == \
+        assert concurrence_mixed(reduced_pair(W_STATE, (0, 1))) ** 2 == \
             pytest.approx(4 / 9, abs=1e-12)
+
+    @pytest.mark.parametrize("ones", [(0,), (0, 6), (0, 5), (0, 3)],
+                             ids=["000", "phiAB-0C", "phiAC-0B", "0A-phiBC"])
+    def test_product_and_biseparable_states(self, ones):
+        # rank-1 reduced pairs: their zero eigenvalues pass the clip before the square root
+        psi = np.zeros(8)
+        psi[list(ones)] = 1 / math.sqrt(len(ones))
+        assert abs(monogamy_residual(psi)) <= 1e-12
 
     def test_thousand_random_states(self):
         for psi in random_pure_states(1000, seed=20260809):
