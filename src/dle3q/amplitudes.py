@@ -6,7 +6,7 @@ overlap of the first-order dressed target state at omega2 with the
 first-order dressed ground state at omega1.  Only four channels survive:
 
     A(2;0) = -3 sqrt(2) lam^2 / ((w1+E0)(w2-E0))      photon pair, no qubits
-    A(1;1) =  lam (1/(w2+E0) - 1/(w1+E0))             one photon, one qubit
+    A(1;1) =  lam (w1-w2) / ((w1+E0)(w2+E0))          one photon, one qubit
     A(0;2) =  2 lam^2 / ((w2-E0)(w1+E0))              no photons, two qubits
     A(2;2) = -2 sqrt(2) lam^2 / ((w2+E0)(w1+E0))      photon pair, two qubits
 
@@ -57,7 +57,7 @@ def _channel_values(omega1, omega2, e0, lam):
     s2 = omega2 + e0
     d2 = omega2 - e0
     return (-3.0 * _SQRT2 * lam2 / (s1 * d2),
-            lam * (1.0 / s2 - 1.0 / s1),
+            lam * (omega1 - omega2) / (s1 * s2),
             2.0 * lam2 / (d2 * s1),
             -2.0 * _SQRT2 * lam2 / (s2 * s1))
 

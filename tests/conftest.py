@@ -1,6 +1,19 @@
+import numpy as np
 import pytest
 
 from dle3q import SystemParams
+
+
+def pytest_report_header():
+    """The numpy build every run rests on: the validate golden digits carry its round-off."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return f"numpy {np.__version__}, BLAS: {blas.get('openblas configuration', blas.get('name'))}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the header, so a quiet run records the build at its end
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header())
 
 # Parameter set used for every published number: omega1 = 5, omega2 = 3.75,
 # E0 = 3.721, lambda = 0.2, all linear-frequency GHz.

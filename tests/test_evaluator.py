@@ -38,7 +38,9 @@ def paper_closed_forms(omega1, omega2, e0, lam) -> dict:
     """The published per-n sector measures, written out term by term.
 
     |omega2^2 - E0^2| is kept factored as |omega2 - E0| (omega2 + E0), the
-    form that stays exact near resonance.
+    form that stays exact near resonance, and 1/(omega2 + E0) - 1/(omega1 + E0)
+    as (omega1 - omega2) / ((omega1 + E0)(omega2 + E0)), which does not cancel
+    as omega2 -> omega1.
     """
     lam2 = lam ** 2
     s1, s2, d2 = omega1 + e0, omega2 + e0, omega2 - e0
@@ -47,7 +49,7 @@ def paper_closed_forms(omega1, omega2, e0, lam) -> dict:
     return {
         "tau_2": 16.0 * pair * double ** 3,
         "c_0_ab1": 2.0 * (2.0 * lam2 / (d2 * s1)) ** 2,
-        "c_1_ab0": 2.0 * lam2 * (1.0 / s2 - 1.0 / s1) ** 2,
+        "c_1_ab0": 2.0 * lam2 * ((omega1 - omega2) / (s1 * s2)) ** 2,
         "c_2_ab0": 24.0 * lam2 ** 2 / (abs(d2) * s2 * s1 ** 2),
         "c_2_ab1": 8.0 * lam2 ** 2 / (s2 ** 2 * s1 ** 2),
     }
@@ -74,6 +76,7 @@ def test_size_n_equals_size_one_bit_for_bit(omega1, e0, lam, grid):
 
 @settings(max_examples=200, deadline=None)
 @given(omega1=frequencies, omega2=frequencies, e0=frequencies, lam=couplings)
+@example(omega1=1.0, omega2=0.99999, e0=2.0, lam=1.0)  # 1/s2 - 1/s1 cancels five digits
 def test_sector_measures_match_paper_closed_forms(omega1, omega2, e0, lam):
     assume(omega1 != e0 and far_from_resonance(omega2, e0))
     s = entanglement_report(omega1, omega2, e0, lam).sectors
@@ -95,6 +98,35 @@ def test_c2_ab0_exact_near_resonance(offset):
     w1, w2, e, g = map(Fraction, (omega1, omega2, e0, lam))
     exact = float(24 * g ** 4 / ((w1 + e) ** 2 * (w2 + e) * abs(w2 - e)))
     assert abs(got - exact) <= 1e-12 * exact
+
+
+#: Unit roundoff of binary64, 2^-53.
+U = Fraction(1, 2 ** 53)
+
+#: (omega1, omega2) within a factor 2 of each other, where omega1 - omega2 is exact
+#: (Sterbenz's lemma), often nearly degenerate: omega2 = omega1 (1 + delta).
+close_pairs = frequencies.flatmap(lambda w1: st.tuples(st.just(w1), st.one_of(
+    st.floats(-1e-6, 1e-6).filter(bool).map(lambda delta: w1 * (1 + delta)),
+    st.floats(w1 / 2, 2 * w1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=close_pairs, e0=frequencies, lam=couplings)
+@example(pair=(5.0, 5.000000001), e0=3.721, lam=0.02)  # 1/s2 - 1/s1 was off by 8.5e-7
+def test_one_photon_fields_within_rounding_of_exact(pair, e0, lam):
+    omega1, omega2 = pair
+    assume(omega1 != e0 and far_from_resonance(omega2, e0))
+    doc = cli._report_doc(SystemParams(omega1, omega2, e0, lam))
+    w1, w2, e, g = map(Fraction, (omega1, omega2, e0, lam))
+    a11 = g * (w1 - w2) / ((w1 + e) * (w2 + e))
+    # five roundings, to first order: s1, s2, s1 s2, lam (w1 - w2) and the quotient
+    # (w1 - w2 itself is exact)
+    got = doc["amplitudes"]["a_1_1"]
+    assert abs(Fraction(got) - a11) <= 5 * U * abs(a11), (got, float(a11))
+    # a square doubles the relative error and rounds once more; the factor 2 is exact
+    for key, exact in (("w_1", a11 * a11), ("c_1_ab0", 2 * a11 * a11)):
+        got = doc["summary"][key]
+        assert abs(Fraction(got) - exact) <= 11 * U * exact, (key, got, float(exact))
 
 
 def run_json(argv) -> str:

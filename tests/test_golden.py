@@ -1,4 +1,12 @@
-"""CLI stdout compared byte for byte with committed golden files.
+"""CLI output compared byte for byte with committed golden files, from cold processes.
+
+Every case runs as ``python -W error::RuntimeWarning -m dle3q.cli <argv>`` in
+a fresh interpreter at the repo root, so numpy's error state starts clean and
+a RuntimeWarning anywhere on the command's path fails it. The exit code, the
+stdout bytes and the stderr text are all checked. Each case runs under the
+OpenBLAS kernel the build picks for this machine and, where
+OPENBLAS_CORETYPE can be seen to choose the kernel, under two older ones
+(KERNELS). The mixed-state tests run again under those two.
 
 The report and sweep files were captured before the oracle moved to the
 Dicke-basis block solve and must never change. The two skip-path sweeps (one
@@ -7,7 +15,7 @@ captured before sweep rows were emitted from column arrays. The two
 subnormal sweeps (lambda 1e-80: exact zeros, three-digit exponents and
 subnormal values, the last of which the vectorized float formatter hands to
 format_float) were captured before sweep tables were formatted as one byte
-matrix. The nmax-20 validate files were last captured once sudden overlaps
+matrix. The nmax-20 validate files were captured once sudden overlaps
 became dot products of Dicke-basis vectors.
 Against the earlier product-space projection they differ only in the H0+V
 (2,0)/(0,2) oracle values (round-off below 1e-18, now exactly 0) and in the
@@ -16,18 +24,27 @@ divides a difference that cancels about six digits, and
 tests/test_oracle.py checks it against a 50-digit reference to 1e-8. The
 nmax-160 validate files were captured while every V_RWA block was still
 diagonalized at all 160 photons, before the oracle solved on a ladder of
-certified photon cutoffs.
+certified photon cutoffs. All four validate files were last re-captured when
+A(1;1) stopped subtracting 1/(omega1 + E0) from 1/(omega2 + E0): the H0+V
+(1;1) rel_dev at scales 0.5 and 0.25 each moved by one in the tenth digit.
 
-To regenerate one after a deliberate output change, run the listed argv,
-e.g. ``python -m dle3q.cli report --omega1-ghz 5 ... > tests/golden/report_paper.json``.
+To regenerate one after a deliberate output change, run its argv from CASES
+at the repo root, e.g.
+``PYTHONPATH=src python -m dle3q.cli report --omega1-ghz 5 ... > tests/golden/report_paper.json``,
+and check the diff line by line.
 """
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_cli import AMPLITUDES_NOT_FINITE
 
-from dle3q.cli import main
-
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 PAPER = ["--omega1-ghz", "5", "--omega2-ghz", "3.75", "--e0-ghz", "3.721",
          "--lambda-ghz", "0.2"]
@@ -62,6 +79,73 @@ CASES = {
 }
 
 
+#: stderr of the golden cases that print any: sweep's CSV notes skipped points and
+#: whether tau_2 falls monotonically on each side of E0 (None: no rows there).
+STDERR = {
+    "sweep_100.csv":
+        "skipped: 0\ntau_2_monotone_below_e0: None\ntau_2_monotone_above_e0: True\n",
+    "sweep_straddle_e0.csv":
+        "skipped: 1\ntau_2_monotone_below_e0: True\ntau_2_monotone_above_e0: True\n",
+    "sweep_all_skipped.csv":
+        "skipped: 3\ntau_2_monotone_below_e0: None\ntau_2_monotone_above_e0: None\n",
+    "sweep_subnormal.csv":
+        "skipped: 1\ntau_2_monotone_below_e0: False\ntau_2_monotone_above_e0: False\n",
+}
+
+#: A report point whose products of two detunings underflow to 0 and divide by zero.
+UNDERFLOW = ["report", "--omega1-ghz", "1e-200", "--omega2-ghz", "2e-200",
+             "--e0-ghz", "1.5e-200", "--lambda-ghz", "0.2"]
+
+#: UNDERFLOW in each format, refused: exit 2, no stdout, one stderr line.
+REFUSED = {f"report_underflow.{fmt}": [*UNDERFLOW, "--format", fmt] for fmt in ("json", "csv")}
+
+#: OPENBLAS_CORETYPE of each cold run; None leaves the choice to the OpenBLAS build.
+KERNELS = (None, "Prescott", "Nehalem")
+
+#: The mixed-state tests: the monogamy residual is a difference of LAPACK spectra,
+#: so their tolerances must hold under the older kernels too.
+MIXED_STATE = ("tests/test_entangle.py::TestMonogamy",
+               "tests/test_entangle.py::TestMixedConcurrence",
+               "tests/test_acceptance.py::test_criterion_7_monogamy_property_suite")
+
+
+def _coretype_ignored() -> str:
+    """Why OPENBLAS_CORETYPE cannot choose numpy's kernels here; empty where it can.
+
+    It can where numpy's BLAS is an OpenBLAS DYNAMIC_ARCH build on x86-64.
+    """
+    machine = platform.machine()
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    config = blas.get("openblas configuration", "")
+    if machine.lower() in ("x86_64", "amd64") and "DYNAMIC_ARCH" in config.split():
+        return ""
+    return (f"OPENBLAS_CORETYPE chooses no kernel on {machine} with BLAS "
+            f"{blas.get('name')} {config}").strip()
+
+
+CORETYPE_IGNORED = _coretype_ignored()
+
+
+def _on_kernel(kernel: str | None, *values, id: str):
+    """A parameter set run under kernel; an older kernel skips where it cannot be chosen."""
+    skip = kernel is not None and bool(CORETYPE_IGNORED)
+    return pytest.param(kernel, *values, id=id,
+                        marks=pytest.mark.skipif(skip, reason=CORETYPE_IGNORED))
+
+
+def fresh_run(*args: str, kernel: str | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter at the repo root, its output captured as bytes.
+
+    PYTHONPATH is src, and OPENBLAS_CORETYPE is kernel, or unset for None.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = "src"
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+
+
 def first_difference(actual: bytes, expected: bytes) -> str:
     """Where two outputs first differ: the line number and both lines."""
     actual_lines = actual.splitlines(keepends=True)
@@ -74,14 +158,30 @@ def first_difference(actual: bytes, expected: bytes) -> str:
             f"want {len(expected_lines)}")
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_stdout_matches_golden(capsys, name):
-    code = main(CASES[name])
-    out = capsys.readouterr().out.encode("utf-8")
-    assert code == 0
-    expected = (GOLDEN / name).read_bytes()
-    if out != expected:
-        pytest.fail(f"{name}: {first_difference(out, expected)}", pytrace=False)
+@pytest.mark.parametrize(("kernel", "name"), [
+    _on_kernel(kernel, name, id="-".join(filter(None, (name, kernel))))
+    for kernel in KERNELS for name in [*CASES, *REFUSED]])
+def test_stdout_matches_golden(kernel, name):
+    if name in CASES:
+        argv, code, out, err = CASES[name], 0, (GOLDEN / name).read_bytes(), STDERR.get(name, "")
+    else:
+        argv, code, out, err = REFUSED[name], 2, b"", AMPLITUDES_NOT_FINITE
+    result = fresh_run("-W", "error::RuntimeWarning", "-m", "dle3q.cli", *argv, kernel=kernel)
+    stderr = result.stderr.decode()
+    if (result.returncode, stderr) != (code, err):
+        pytest.fail(f"{name}: exit {result.returncode}, want {code}\n"
+                    f"stderr:\n{stderr}want:\n{err}", pytrace=False)
+    if result.stdout != out:
+        pytest.fail(f"{name}: {first_difference(result.stdout, out)}", pytrace=False)
+
+
+@pytest.mark.parametrize("kernel", [_on_kernel(kernel, id=kernel) for kernel in KERNELS[1:]])
+def test_mixed_state_tests_pass_under_older_kernel(kernel):
+    # a renamed or missing node id exits 4 or 5, which fails as well
+    result = fresh_run("-m", "pytest", "-q", *MIXED_STATE, kernel=kernel)
+    if result.returncode:
+        pytest.fail(f"exit {result.returncode} under OPENBLAS_CORETYPE={kernel}:\n"
+                    f"{result.stdout.decode()}{result.stderr.decode()}", pytrace=False)
 
 
 def test_first_difference_names_the_line():

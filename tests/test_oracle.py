@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -621,15 +622,20 @@ ORACLE_REFERENCE = {
     (True, 0.25, 0, 2): -4.9444012906395310e-07, (True, 0.25, 2, 2): 1.7189347321242420e-09,
 }
 
-#: Channel (1,1) rel_dev from the same solve, |oracle - closed_form| /
-#: |closed_form| with the float64 closed_form that validate reports, keyed
+
+def _exact_a11(lam: float) -> Fraction:
+    """A(1;1) = lam (w1 - w2) / ((w1 + E0)(w2 + E0)) at the golden point, exactly."""
+    w1, w2, e0 = Fraction(W1), Fraction(4.5), Fraction(E0)
+    return Fraction(lam) * (w1 - w2) / ((w1 + e0) * (w2 + e0))
+
+
+#: Channel (1,1) rel_dev of the same solve, |oracle - closed_form| /
+#: |closed_form| against the exact closed form of the float inputs, keyed
 #: (include_rwa, lambda_scale).  The difference cancels about six digits, so
 #: only about eight of the ten printed rel_dev digits are accurate.
 REL_DEV_REFERENCE = {
-    (False, 1.0): 2.2306121275852e-05, (False, 0.5): 5.57668104604098e-06,
-    (False, 0.25): 1.39417968250199e-06,
-    (True, 1.0): 2.4675061465113e-03, (True, 0.5): 6.19249286898047e-04,
-    (True, 0.25): 1.54961612136153e-04,
+    (rwa, scale): float(abs(Fraction(value) / _exact_a11(0.02 * scale) - 1))
+    for (rwa, scale, n, m), value in ORACLE_REFERENCE.items() if (n, m) == (1, 1)
 }
 
 

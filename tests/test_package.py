@@ -2,14 +2,10 @@
 CLI command loads only the modules it runs."""
 import importlib
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from test_cli import AMPLITUDES_NOT_FINITE
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, UNDERFLOW, fresh_run
 
 import dle3q
 
@@ -47,19 +43,11 @@ def test_public_definitions_are_exported(module_name):
     assert not missing, f"dle3q.{module_name} defines {missing} but __all__ lacks them"
 
 
-def _fresh_run(code: str, *args: str) -> subprocess.CompletedProcess:
-    """code run by a new interpreter with args as sys.argv[1:], its output captured."""
-    src = str(Path(dle3q.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
-
-
 def _fresh_process(code: str, *args: str) -> list[str]:
     """The stdout lines of code run by a new interpreter with args as sys.argv[1:]."""
-    result = _fresh_run(code, *args)
+    result = fresh_run("-c", code, *args)
     result.check_returncode()
-    return result.stdout.splitlines()
+    return result.stdout.decode().splitlines()
 
 
 LOADED = ("print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'dle3q'))\n"
@@ -129,14 +117,10 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-#: A report point whose products of two detunings underflow to 0 and divide by zero.
-UNDERFLOW = ["report", "--omega1-ghz", "1e-200", "--omega2-ghz", "2e-200",
-             "--e0-ghz", "1.5e-200", "--lambda-ghz", "0.2"]
-
-
 @pytest.mark.parametrize("name", ["report_paper.json", "report_paper.csv"])
 def test_report_calls_no_numpy(name):
     lines = _fresh_process(NUMPY_REFUSED, *CASES[name])
     assert lines == (GOLDEN / name).read_text().splitlines()
-    refused = _fresh_run(NUMPY_REFUSED, *UNDERFLOW, "--format", name.rpartition(".")[2])
-    assert (refused.returncode, refused.stdout, refused.stderr) == (2, "", AMPLITUDES_NOT_FINITE)
+    refused = fresh_run("-c", NUMPY_REFUSED, *UNDERFLOW, "--format", name.rpartition(".")[2])
+    assert (refused.returncode, refused.stdout, refused.stderr.decode()) == (
+        2, b"", AMPLITUDES_NOT_FINITE)
