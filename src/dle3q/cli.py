@@ -168,7 +168,7 @@ def _report_doc(p: SystemParams) -> dict:
         "probabilities": {**{f"w_{m}": w[m] for m in range(4)},
                           "product_gap": _finite("product_gap", cf.product_gap)},
         "entanglement": _sector_rows(cf, normalized),
-        "summary": {key: _finite(key, value)
+        "summary": {key: value
                     for key, value in _headline(w, s.tau_abc, s.c_ab0, s.c_ab1).items()
                     if key in SUMMARY_KEYS},
     }

@@ -230,16 +230,17 @@ _PAIR_INDEX = np.array([[[0, 1], [2, 3], [4, 5], [6, 7]],
                         [[0, 2], [1, 3], [4, 6], [5, 7]]])
 
 
-def monogamy_residual(a, normalized: bool = True) -> float:
+def monogamy_residual(a) -> float:
     """tau_A(BC) - C_AB^2 - C_AC^2 - tau_ABC for eight coefficients.
 
     tau_A(BC) = 4 det(rho_A).  Zero (to numerical precision) for normalized
     pure states; that equality is the Coffman monogamy relation, stated here
-    only where it is a theorem, hence the normalization check, which a NaN
-    or infinite coefficient fails too.  Both pair concurrences come from one
-    stacked Wootters solve; rho_A and the three-tangle are evaluated on
-    Python scalars.  Raises ValueError unless a holds eight finite
-    coefficients whose squared norm is finite.
+    only where it is a theorem, hence the normalization check.  Both pair
+    concurrences come from one stacked Wootters solve; rho_A and the
+    three-tangle are evaluated on Python scalars.  Raises ValueError unless
+    a holds eight coefficients, and NormalizationError (a ValueError) unless
+    their norm is 1 within 1e-10, which a NaN, an infinite entry or an
+    overflowing norm fails.
     """
     psi = np.asarray(a, dtype=complex).reshape(8)
     c = psi.tolist()
@@ -247,12 +248,9 @@ def monogamy_residual(a, normalized: bool = True) -> float:
     r00 = sum(z.real * z.real + z.imag * z.imag for z in c[:4])
     r11 = sum(z.real * z.real + z.imag * z.imag for z in c[4:])
     r01 = sum(x * y.conjugate() for x, y in zip(c[:4], c[4:]))
-    if normalized:
-        norm = math.sqrt(r00 + r11)
-        if not abs(norm - 1.0) <= 1e-10:
-            raise NormalizationError(f"state norm {norm} differs from 1 beyond 1e-10")
-    elif not math.isfinite(r00 + r11):
-        raise ValueError("state has a non-finite coefficient or squared norm")
+    norm = math.sqrt(r00 + r11)
+    if not abs(norm - 1.0) <= 1e-10:
+        raise NormalizationError(f"state norm {norm} differs from 1 beyond 1e-10")
     tau_a_bc = 4.0 * (r00 * r11 - (r01.real * r01.real + r01.imag * r01.imag))
     m = psi[_PAIR_INDEX]
     c_ab, c_ac = _wootters(m @ m.conj().swapaxes(1, 2))[0]

@@ -52,7 +52,8 @@ allocated, and one whose matrix norm overflows before it is solved.
 
 Solved rungs go into a store keyed by _symmetric_eig's own arguments, so a
 lookup is valid whatever asks.  compare_with_closed_forms keeps one store per
-lambda scale, shared by the ground state at omega1 and the targets at omega2.
+lambda scale, shared by the ground state at omega1 and the targets at omega2,
+and matches that ground state once per scale for all four channels.
 
 Dressed states are matched inside their block, which keeps the assignment
 deterministic inside otherwise-degenerate excitation classes, and are
@@ -192,7 +193,7 @@ def _certified(overlap: float, w: np.ndarray, vector: np.ndarray, edge: np.ndarr
 
 
 def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
-                   include_rwa: bool, block: int, nmax: float = math.inf):
+                   include_rwa: bool, block: int, nmax: int):
     """Checked eigendecomposition of one block of H: (w, v, Dicke rows, edge).
 
     Built at min(cutoff + 1, nmax) photons.  edge is the slab of H coupling
@@ -299,14 +300,13 @@ def sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool = False) -
     quoted per product target like the closed forms.  A target in another
     conserved-quantity block than the ground state overlaps it exactly 0.
     """
-    return _sudden_overlap(n, m, p, include_rwa, {})
-
-
-def _sudden_overlap(n: int, m: int, p: SystemParams, include_rwa: bool,
-                    rungs: dict) -> float:
-    """sudden_overlap, sharing the block solves in rungs (see _dressed)."""
+    rungs = {}
     ground = _dressed(0, 0, p, p.omega1, include_rwa, rungs)
-    target = _dressed(n, m, p, p.omega2, include_rwa, rungs)
+    return _overlap(ground, _dressed(n, m, p, p.omega2, include_rwa, rungs), m)
+
+
+def _overlap(ground: DressedState, target: DressedState, m: int) -> float:
+    """<target|ground> per configuration of the m-qubit target class."""
     # the shorter vector is zero past its end, so the dot runs over the common rows
     size = min(target.vector.size, ground.vector.size)
     overlap = float(target.vector[:size] @ ground.vector[:size])
@@ -338,16 +338,16 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)
         rungs = {}  # one store per scale: a larger one would keep every scale's rungs alive
-        _dressed(0, 0, p_s, p_s.omega1, include_rwa, rungs)  # its errors come before the guard's
+        ground = _dressed(0, 0, p_s, p_s.omega1, include_rwa, rungs)
         guard_detuning(p_s.omega2, p_s.e0)
         table = amplitude_table(p_s.omega1, p_s.omega2, p_s.e0, p_s.lambda_).tolist()
-        for ch in DLE_CHANNELS:
-            closed = table[ch[0]][ch[1]]
-            orac = _sudden_overlap(ch[0], ch[1], p_s, include_rwa, rungs)
+        for n, m in DLE_CHANNELS:
+            closed = table[n][m]
+            orac = _overlap(ground, _dressed(n, m, p_s, p_s.omega2, include_rwa, rungs), m)
             # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)
             rel = abs(orac - closed) / abs(closed) if closed != 0.0 else None
             rows.append({
-                "channel_n": ch[0], "channel_m": ch[1],
+                "channel_n": n, "channel_m": m,
                 "closed_form": closed, "oracle": orac, "rel_dev": rel,
                 "nmax": p.nmax, "lambda_scale": scale, "include_rwa": include_rwa,
             })

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import astuple, dataclass
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, SingularityError
 
 #: Keys of the flat JSON parameter document, in SystemParams field order; the
 #: CLI's parameter flags are these keys with dashes.
@@ -124,8 +124,6 @@ def validate_params(p: SystemParams) -> ValidityReport:
 
 def guard_detuning(omega: float, e0: float) -> None:
     """Raise SingularityError when |omega - E0| is below the machine-scale guard."""
-    from .errors import SingularityError
-
     if abs(omega - e0) < SINGULARITY_GUARD * e0:
         raise SingularityError(
             f"omega = {omega} within {SINGULARITY_GUARD:.0e}*E0 of the qubit "

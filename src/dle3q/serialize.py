@@ -47,9 +47,6 @@ def _format_value(value) -> str:
         return format_float(value)
     if value is None:
         return "null"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
     raise TypeError(f"unsupported scalar {value!r}")
 
 

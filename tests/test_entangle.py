@@ -273,12 +273,11 @@ class TestMonogamy:
             monogamy_residual(GHZ * 1.001)
 
     @pytest.mark.parametrize("count", [7, 9])
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_coefficient_count_enforced(self, count, normalized):
+    def test_coefficient_count_enforced(self, count):
         a = np.zeros(count)
         a[0] = 1.0
         with pytest.raises(ValueError):
-            monogamy_residual(a, normalized=normalized)
+            monogamy_residual(a)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, bad):
@@ -286,10 +285,3 @@ class TestMonogamy:
         state[3] = bad
         with pytest.raises(NormalizationError):
             monogamy_residual(state)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            monogamy_residual(state, normalized=False)
-
-    def test_unnormalized_allowed_when_flagged(self):
-        value = monogamy_residual(GHZ * 2.0, normalized=False)
-        # every term is degree four, so the residual scales by 16 and stays zero
-        assert value == pytest.approx(0.0, abs=1e-10)

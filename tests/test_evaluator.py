@@ -21,6 +21,7 @@ from reference import normalized_sectors
 
 from dle3q import SystemParams, cli, entanglement_report, sector_measures
 from dle3q.cli import main
+from dle3q.params import SINGULARITY_GUARD
 from dle3q.serialize import json_dumps
 
 SQRT2 = math.sqrt(2.0)
@@ -127,6 +128,72 @@ def test_one_photon_fields_within_rounding_of_exact(pair, e0, lam):
     for key, exact in (("w_1", a11 * a11), ("c_1_ab0", 2 * a11 * a11)):
         got = doc["summary"][key]
         assert abs(Fraction(got) - exact) <= 11 * U * exact, (key, got, float(exact))
+
+
+def gamma(n: int) -> Fraction:
+    """Relative error bound of n roundings multiplied or divided together, n u / (1 - n u).
+
+    Each sum, product, quotient and correctly rounded constant is one rounding,
+    fl(x op y) = (x op y)(1 + d) with |d| <= u, and n such factors, each to the
+    power +-1, stay within gamma(n) of 1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, Lemma 3.1).
+    """
+    return n * U / (1 - n * U)
+
+
+#: (E0, omega2): omega2 anywhere, or E0 (1 +- 10^-k) for k in 3..11, where omega2 - E0 is
+#: exact and the lambda^2 channels grow as 1/|omega2 - E0|.
+detuned_points = frequencies.flatmap(lambda e0: st.tuples(st.just(e0), st.one_of(
+    frequencies,
+    st.builds(lambda sign, k: e0 * (1 + sign * 10.0 ** -k),
+              st.sampled_from((-1, 1)), st.integers(3, 11)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=detuned_points, omega1=frequencies, lam=couplings)
+@example(point=(3.721, 3.721 * (1 + 1e-11)), omega1=5.0, lam=0.2)
+def test_rational_report_fields_within_rounding_of_exact(point, omega1, lam):
+    e0, omega2 = point
+    assume(omega1 != e0 and abs(omega2 - e0) >= SINGULARITY_GUARD * e0)
+    doc = cli._report_doc(SystemParams(omega1, omega2, e0, lam))
+    w1, w2, e, g = map(Fraction, (omega1, omega2, e0, lam))
+    s1, s2, d2 = w1 + e, w2 + e, w2 - e
+    g4 = g ** 4
+    a02 = 2 * g * g / (d2 * s1)
+    a20_sq = 18 * g4 / (s1 * d2) ** 2
+    a22_sq = 8 * g4 / (s2 * s1) ** 2
+    w_1 = (g * (w1 - w2) / (s1 * s2)) ** 2
+    w_2 = a02 * a02 + a22_sq
+    amps, probs, summary = doc["amplitudes"], doc["probabilities"], doc["summary"]
+    # Roundings: lam^2, s1, s2 and d2 are one each.  A(0;2) = 2 lam^2 / (d2 s1) adds the
+    # product and the quotient: 5.  A(2;0) = -3 sqrt2 lam^2 / (s1 d2) adds sqrt2, 3 sqrt2
+    # and its product with lam^2: 8.  A(2;2) the same with 2 sqrt2 exact: 7.  A square
+    # doubles a count, one more for its rounding.  Products with the zero amplitudes
+    # are exact.
+    rounded = {
+        "a_0_2": (amps["a_0_2"], a02, 5),
+        "a_2_0^2": (Fraction(amps["a_2_0"]) ** 2, a20_sq, 16),
+        "a_2_2^2": (Fraction(amps["a_2_2"]) ** 2, a22_sq, 14),
+        "w_0": (probs["w_0"], a20_sq, 17),
+        "w_2": (summary["w_2"], w_2, 16),  # two positive squares (11, 15) and their sum
+        "c_0_ab1": (summary["c_0_ab1"], 2 * a02 * a02, 11),  # 2 A(0;2)^2
+        "c_2_ab0": (summary["c_2_ab0"], 24 * g4 / (s1 ** 2 * s2 * abs(d2)), 16),
+        "c_2_ab1": (summary["c_2_ab1"], a22_sq, 15),  # 0.5 * 2 A(2;2)^2
+        # 16 |A(2;0) A(2;2)^3|, three products
+        "tau_2": (summary["tau_2"], 1536 * g4 * g4 / (s1 ** 4 * s2 ** 3 * abs(d2)), 32),
+        # lambda over one sum or difference: 2
+        "eta_sum1": (doc["validity"]["eta_sum1"], g / s1, 2),
+        "eta_sum2": (doc["validity"]["eta_sum2"], g / s2, 2),
+        "eta_diff1": (doc["validity"]["eta_diff1"], g / abs(w1 - e), 2),
+        "eta_diff2": (doc["validity"]["eta_diff2"], g / abs(d2), 2),
+    }
+    for key, (got, exact, roundings) in rounded.items():
+        error = abs(Fraction(got) - exact)
+        assert error <= gamma(roundings) * abs(exact), (key, got, float(exact))
+    # w_2 - w_1^2: A(1;1) takes 6 roundings, w_1 13, w_1^2 27, and the difference one
+    # more, so its error is bounded relative to w_2 + w_1^2, not to the difference
+    gap = probs["product_gap"]
+    assert abs(Fraction(gap) - (w_2 - w_1 * w_1)) <= gamma(28) * (w_2 + w_1 * w_1), gap
 
 
 def run_json(argv) -> str:

@@ -164,29 +164,29 @@ def _full_block_state(n, m, p, omega, rwa):
     return w[col], vector
 
 
-def _record_solves(monkeypatch, keep):
-    """keep(arguments) of each block solve the oracle makes, in call order."""
-    solves = []
-    real = oracle._symmetric_eig
+def _record_calls(monkeypatch, name, keep):
+    """keep(arguments) of each call the oracle makes to its function name, in call order."""
+    calls = []
+    real = getattr(oracle, name)
 
     def recording(*args):
-        solves.append(keep(args))
+        calls.append(keep(args))
         return real(*args)
 
-    monkeypatch.setattr(oracle, "_symmetric_eig", recording)
-    return solves
+    monkeypatch.setattr(oracle, name, recording)
+    return calls
 
 
 @pytest.fixture
 def solved_cutoffs(monkeypatch):
     """The photon cutoffs dressed_state diagonalizes at, in call order."""
-    return _record_solves(monkeypatch, lambda args: args[3])
+    return _record_calls(monkeypatch, "_symmetric_eig", lambda args: args[3])
 
 
 @pytest.fixture
 def solved_rungs(monkeypatch):
     """The arguments of each block solve, in call order."""
-    return _record_solves(monkeypatch, lambda args: args)
+    return _record_calls(monkeypatch, "_symmetric_eig", lambda args: args)
 
 
 GOLDEN_POINT = ["--omega1-ghz", "5", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
@@ -208,7 +208,7 @@ class TestCutoffLadder:
         cutoff, lam = 6, 1.0
         largest = 0.0
         for block in ((0, 1) if rwa else (3, 4, 5, 6)):
-            w, v, rows, edge = _symmetric_eig(4.5, E0, lam, cutoff, rwa, block)
+            w, v, rows, edge = _symmetric_eig(4.5, E0, lam, cutoff, rwa, block, 160)
             assert edge.base is None  # the cache keeps no larger matrix alive
             big_rows, h = _block_hamiltonian(4.5, E0, lam, cutoff + 3, rwa, block)
             padded = np.zeros((big_rows.size, w.size))
@@ -249,7 +249,7 @@ class TestCutoffLadder:
         # at 20 photons, but its 20-photon tail still couples onward, with a
         # residual of about 1e-6; 40 photons are below rounding
         p = SystemParams(W1, 4.5, E0, 2.0, nmax=160)
-        w, v, rows, _ = _symmetric_eig(W1, E0, 2.0, 20, True, 0)
+        w, v, rows, _ = _symmetric_eig(W1, E0, 2.0, 20, True, 0, p.nmax)
         assert np.abs(v[0]).max() > 0.7 + 1e-6
         ds = dressed_state(0, 0, p, W1, include_rwa=True)
         assert solved_cutoffs == [20, 40]
@@ -327,7 +327,7 @@ class TestCutoffLadder:
         assert edge.shape == (0, w.size)
         assert rows[-1] < 4 * 13
         # the leading block of a build one photon further holds the same entries
-        w_next, v_next, rows_next, _ = _symmetric_eig(W1, E0, 0.2, 12, rwa, 0)
+        w_next, v_next, rows_next, _ = _symmetric_eig(W1, E0, 0.2, 12, rwa, 0, 13)
         assert np.array_equal(rows, rows_next)
         assert np.array_equal(w, w_next) and np.array_equal(v, v_next)
 
@@ -584,6 +584,14 @@ class TestCompareTable:
             compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa)
         assert len(solved_rungs) == 18
         assert len(set(solved_rungs)) == 18
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_one_ground_match_per_scale(self, monkeypatch, rwa):
+        # the ground state at omega1 is matched once and shared by the four channels
+        matched = _record_calls(monkeypatch, "_dressed", lambda args: args[:2])
+        p = SystemParams(W1, 4.5, E0, 0.02, nmax=160)
+        compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=rwa)
+        assert matched == [(0, 0), *DLE_CHANNELS] * 3
 
     @settings(max_examples=25, deadline=None)
     @given(omega1=st.floats(4.8, 5.2), omega2=st.floats(4.3, 4.7),
