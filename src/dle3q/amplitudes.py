@@ -14,9 +14,11 @@ and every other (n, m) vanishes, including all m = 3.  Amplitudes are quoted
 per target configuration; the three targets within an excitation class give
 identical values.  The tests rebuild each value from those first-order
 overlaps in the product basis (tests/reference.py), an independent route
-to the table.  The four formulas are written once, in _channel_values,
-which the CLI's report runs on the Python floats of its one point and
-amplitude_table on numpy arrays.
+to the table.  The four formulas are written once, in _channel_values.
+entangle.entanglement_report assembles the one closed-form table from it,
+indexed amplitudes[n][m] for n = 0..2 and m = 0..3, and the oracle reads
+the four values at each scaled coupling of validate without loading
+entangle.
 
 Convention: the (0, 0) survival overlap (which is ~1) is not an excitation
 amplitude; the closed-form channel set carries only the switch-induced
@@ -30,8 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-
-import numpy as np
 
 from .errors import ParameterDomainError
 
@@ -47,10 +47,11 @@ _SQRT2 = math.sqrt(2.0)
 def _channel_values(omega1, omega2, e0, lam):
     """A(2;0), A(1;1), A(0;2) and A(2;2), the DLE_CHANNELS in order.
 
-    Elementwise on Python floats or on broadcast numpy arrays, through the
-    same lines: squares are written as products, since Python's x ** 2 rounds
-    through C pow. A float product of detunings that underflows to 0 raises
-    ZeroDivisionError where arrays give inf or nan.
+    Elementwise on Python floats, numpy float64 scalars or broadcast numpy
+    arrays, through the same lines: squares are written as products, since
+    Python's x ** 2 rounds through C pow. A float product of detunings that
+    underflows to 0 raises ZeroDivisionError where numpy values give inf or
+    nan.
     """
     lam2 = lam * lam
     s1 = omega1 + e0
@@ -60,21 +61,6 @@ def _channel_values(omega1, omega2, e0, lam):
             lam * (omega1 - omega2) / (s1 * s2),
             2.0 * lam2 / (d2 * s1),
             -2.0 * _SQRT2 * lam2 / (s2 * s1))
-
-
-def amplitude_table(omega1, omega2, e0, lam) -> np.ndarray:
-    """Closed-form switch amplitudes A[..., n, m] for n = 0..2, m = 0..3.
-
-    The four frequencies are broadcast against each other; the result has
-    their common shape plus the two trailing channel axes.  No guard is
-    applied: points with omega2 at E0 divide by zero, and callers mask them.
-    """
-    omega1, omega2, e0, lam = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (omega1, omega2, e0, lam)))
-    table = np.zeros(lam.shape + (3, 4))
-    for (n, m), value in zip(DLE_CHANNELS, _channel_values(omega1, omega2, e0, lam)):
-        table[..., n, m] = value
-    return table
 
 
 def _integer(value) -> int | None:

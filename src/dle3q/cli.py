@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SingularityError, SolverDiagnosticsError,
                      TruncationHeadroomError)
-from .params import JSON_KEYS, SystemParams, guard_detuning, validate_params
+from .params import JSON_KEYS, SystemParams, guard_detuning
 
 # Each command imports the layers it runs where it first uses them, so --help
 # loads none of them and validate never loads entangle; these are for annotations.
@@ -29,8 +29,10 @@ if TYPE_CHECKING:
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
 SWEEP_GUARD_BAND = 1e-6
 
-#: Most grid points one sweep evaluates. A JSON sweep process peaks at 51 MB resident
-#: at 20 000 points and 133 MB at 100 000: about 1.0 KB per point, 1.05 GB at the limit.
+#: Most grid points one sweep evaluates. A cold JSON sweep process peaks (VmHWM) at
+#: 47.6 MB at 20 000 points and 117 MB at 100 000: about 0.87 KB per point, 0.90 GB at the
+#: limit (CSV: 40.3 and 81.0 MB). Read from /proc/self/status at exit, stdout to /dev/null,
+#: no bytecode cache; Python 3.11, numpy 2.4, x86-64 Linux.
 MAX_SWEEP_STEPS = 10 ** 6
 
 def _flag(key: str) -> str:
@@ -105,38 +107,28 @@ def _finite(name: str, values):
     return values
 
 
-def _headline(w, tau_abc, c_ab0, c_ab1) -> dict:
+def _headline(cf: ClosedForms) -> dict:
     """The published quantities keyed by sweep column: w indexed by m, the measures by n."""
-    return {"w_0": w[0], "w_1": w[1], "w_2": w[2], "tau_2": tau_abc[2],
-            "c_0_ab1": c_ab1[0], "c_1_ab0": c_ab0[1], "c_2_ab0": c_ab0[2],
-            "c_2_ab1": c_ab1[2]}
+    w, s = cf.w, cf.sectors
+    return {"w_0": w[0], "w_1": w[1], "w_2": w[2], "tau_2": s.tau_abc[2],
+            "c_0_ab1": s.c_ab1[0], "c_1_ab0": s.c_ab0[1], "c_2_ab0": s.c_ab0[2],
+            "c_2_ab1": s.c_ab1[2]}
 
 
 def _point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
-    """The closed forms at p and the measures of its normalized sectors, as Python values.
+    """The closed forms at p, as Python values, and the measures of its normalized sectors.
 
-    Each field holds what the one-point arrays of entanglement_report hold,
-    as a float, a bool or a list indexed by n (then m), from the same formula
-    lines run on Python floats.  A product of detunings that underflows to 0
-    divides by zero, where the arrays hold inf or nan in that amplitude, so
-    the point is refused as report refuses a non-finite amplitude.
+    A product of detunings that underflows to 0 divides by zero on Python
+    floats, where arrays would hold inf or nan in that amplitude, so the
+    point is refused as report refuses a non-finite amplitude.
     """
-    from .amplitudes import DLE_CHANNELS, _channel_values
-    from .entangle import (TABULATED_C_AB1_FACTOR, ClosedForms, SectorMeasures,
-                           _normalized, _probabilities, _sector_values)
-
-    def measures(sectors) -> SectorMeasures:
-        per_sector = map(_sector_values, sectors, TABULATED_C_AB1_FACTOR)
-        return SectorMeasures(*map(list, zip(*per_sector)))
+    from .entangle import _measures, _normalized, entanglement_report
 
     try:
-        values = dict(zip(DLE_CHANNELS, _channel_values(p.omega1, p.omega2, p.e0, p.lambda_)))
+        cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
     except ZeroDivisionError:
         raise _not_finite("amplitudes") from None
-    table = [[values.get((n, m), 0.0) for m in range(4)] for n in range(3)]
-    w, product_gap = _probabilities(zip(*table))
-    return (ClosedForms(table, w, product_gap, measures(table), validate_params(p)),
-            measures(map(_normalized, table)))
+    return cf, _measures(map(_normalized, cf.amplitudes))
 
 
 def _sector_rows(cf: ClosedForms, normalized: SectorMeasures) -> list[dict]:
@@ -158,7 +150,6 @@ def _report_doc(p: SystemParams) -> dict:
     amps = _finite("amplitudes", cf.amplitudes)
     probs = _finite("probabilities", [[a * a for a in row] for row in amps])
     w = _finite("w", cf.w)
-    s = cf.sectors
     return {
         "inputs": p.to_flat_dict(),
         "validity": {key: _finite(key, value) for key, value in vars(cf.validity).items()},
@@ -169,7 +160,7 @@ def _report_doc(p: SystemParams) -> dict:
                           "product_gap": _finite("product_gap", cf.product_gap)},
         "entanglement": _sector_rows(cf, normalized),
         "summary": {key: value
-                    for key, value in _headline(w, s.tau_abc, s.c_ab0, s.c_ab1).items()
+                    for key, value in _headline(cf).items()
                     if key in SUMMARY_KEYS},
     }
 
@@ -215,8 +206,7 @@ def _sweep_table(p_base: SystemParams, omega2: np.ndarray) -> tuple[Table, dict]
     from .serialize import Table
 
     cf = entanglement_report(p_base.omega1, omega2, p_base.e0, p_base.lambda_)
-    s = cf.sectors
-    columns = {"omega2": omega2, **_headline(cf.w.T, s.tau_abc.T, s.c_ab0.T, s.c_ab1.T),
+    columns = {"omega2": omega2, **_headline(cf),
                "perturbative_ok": cf.validity.perturbative_ok}
     flags = _monotone_flags(omega2, columns["tau_2"], p_base.e0)
     return Table({key: _require_finite(key, columns[key]) for key in SWEEP_COLUMNS}), flags

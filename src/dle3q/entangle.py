@@ -21,9 +21,11 @@ remaining 2x2 block: C|n>_AB0 = 2|a0 a2 - a1^2|, C|n>_AB1 = 2|a1 a3 - a2^2|.
 Each closed form is written once, in a private helper that runs
 elementwise on Python floats or on numpy arrays: _probabilities (w_m and the
 product gap) and _sector_values (the SectorMeasures fields of one sector).
-entanglement_report and sector_measures assemble arrays from them for the
-CLI's sweep; the CLI's report runs the same lines on the Python floats of
-its one point.  Raw sector values reproduce the published numbers; report
+entanglement_report is the one assembly of the closed-form table: the CLI's
+report calls it on the Python floats of its one point, and sweep on an
+array of omega2.  Its layout is the same for both, amplitudes[n][m],
+w[m] and each sector field a list over n, and on floats it calls no numpy
+function.  Raw sector values reproduce the published numbers; report
 prints a normalized variant alongside as a diagnostic, each sector scaled
 to unit norm by _normalized, which takes Python floats only.
 """
@@ -36,7 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .amplitudes import CLASS_MULTIPLICITY, amplitude_table
+from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel_values
 from .errors import NormalizationError
 from .params import ValidityReport, validate_params
 
@@ -63,29 +65,35 @@ _EXCITATIONS = tuple(sum(bits) for bits in _BITS)
 
 @dataclass(frozen=True)
 class SectorMeasures:
-    """Entanglement of the photon-number sectors; each field's last axis is n = 0, 1, 2.
+    """Entanglement of the photon-number sectors; each field is a list over n = 0, 1, 2.
 
-    The CLI's report holds one point's fields as Python lists indexed by n.
+    Each entry is a float (a bool for formula_path_mismatch) at one point,
+    or an array of the parameters' broadcast shape.
     """
 
-    tau_abc: np.ndarray
-    c_ab0: np.ndarray
-    c_ab1: np.ndarray  # the published convention, TABULATED_C_AB1_FACTOR * c_ab1_formula_path
-    c_ab1_formula_path: np.ndarray
-    formula_path_mismatch: np.ndarray
+    tau_abc: list
+    c_ab0: list
+    c_ab1: list  # the published convention, TABULATED_C_AB1_FACTOR * c_ab1_formula_path
+    c_ab1_formula_path: list
+    formula_path_mismatch: list
 
 
 @dataclass(frozen=True)
 class ClosedForms:
-    """Every closed-form result at the broadcast shape of the parameter arrays.
+    """Every closed-form result, in one layout for a point and for arrays.
 
-    The CLI's report holds one point's fields as Python floats, bools and
-    lists, indexed as the arrays are.
+    Each leaf is a float or bool at one point of Python floats, and an
+    array of the parameters' broadcast shape over arrays.  A channel
+    outside DLE_CHANNELS is the Python float 0.0 in either case, so a leaf
+    computed from such zeros alone stays 0.0: w[3] and the eight zero
+    amplitudes.  A validity ratio is an array only if a parameter it reads
+    is one, so when only omega2 is an array, eta_sum1 and eta_diff1 are
+    floats.
     """
 
-    amplitudes: np.ndarray  # A[..., n, m], n = 0..2, m = 0..3
-    w: np.ndarray  # w[..., m], the sum over n of A(n; m)^2
-    product_gap: np.ndarray  # w_2 - w_1^2
+    amplitudes: list[list]  # amplitudes[n][m], A(n; m) for n = 0..2, m = 0..3
+    w: list  # w[m], the sum over n of A(n; m)^2
+    product_gap: float | np.ndarray  # w_2 - w_1^2
     sectors: SectorMeasures  # of the raw, unnormalized sectors
     validity: ValidityReport
 
@@ -126,8 +134,7 @@ def _probabilities(columns):
     """w_m = A(0; m)^2 + A(1; m)^2 + A(2; m)^2 for each column, and the gap w_2 - w_1^2.
 
     columns holds (A(0; m), A(1; m), A(2; m)) for m = 0..3, as Python floats
-    or as arrays, elementwise.  Squares are products and the sum a left fold,
-    which is what numpy's square and 3-term axis sum compute.
+    or as arrays, elementwise.  Squares are products and the sum a left fold.
     """
     w = [(a0 * a0 + a1 * a1) + a2 * a2 for a0, a1, a2 in columns]
     return w, w[2] - w[1] * w[1]
@@ -160,26 +167,26 @@ def _normalized(a):
     return [u / norm if norm > 0 else u for u in unit]
 
 
-def sector_measures(table) -> SectorMeasures:
-    """Tangle and pair concurrences of each photon-number sector of A[..., n, m]."""
-    sectors = np.moveaxis(np.asarray(table), -1, 0)
-    return SectorMeasures(*_sector_values(sectors, np.array(TABULATED_C_AB1_FACTOR)))
+def _measures(sectors) -> SectorMeasures:
+    """The SectorMeasures of the sectors n = 0, 1, 2, each field a list over n."""
+    return SectorMeasures(*map(list, zip(*map(_sector_values, sectors, TABULATED_C_AB1_FACTOR))))
 
 
 def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
-    """Amplitudes, probabilities, sector measures and validity ratios over arrays.
+    """Amplitudes, probabilities, sector measures and validity ratios (see ClosedForms).
 
-    The four frequencies broadcast against each other as in amplitude_table;
-    scalars give one point.  Nothing is guarded or masked here: callers
-    exclude omega2 = E0 and check that the values they print are finite.
+    The four frequencies are Python floats for one point, or numpy arrays
+    (and floats) that broadcast together.  Nothing is guarded or masked
+    here: callers exclude omega2 = E0 and check that the values they print
+    are finite.  On Python floats a product of detunings that underflows
+    to 0 raises ZeroDivisionError, where arrays hold inf or nan.
     """
-    omega1, omega2, e0, lam = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (omega1, omega2, e0, lam)))
-    table = amplitude_table(omega1, omega2, e0, lam)
-    w, product_gap = _probabilities(np.moveaxis(table, (-1, -2), (0, 1)))
+    values = dict(zip(DLE_CHANNELS, _channel_values(omega1, omega2, e0, lam)))
+    amplitudes = [[values.get((n, m), 0.0) for m in range(4)] for n in range(3)]
+    w, product_gap = _probabilities(zip(*amplitudes))
     point = SimpleNamespace(omega1=omega1, omega2=omega2, e0=e0, lambda_=lam)
-    return ClosedForms(amplitudes=table, w=np.stack(w, axis=-1), product_gap=product_gap,
-                       sectors=sector_measures(table), validity=validate_params(point))
+    return ClosedForms(amplitudes, w, product_gap, _measures(amplitudes),
+                       validate_params(point))
 
 
 def _wootters(rho: np.ndarray) -> tuple[list[float], np.ndarray]:

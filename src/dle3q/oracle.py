@@ -85,11 +85,11 @@ lambda -> 0, and it is the gated channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel, amplitude_table
+from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel, _channel_values
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SolverDiagnosticsError, TruncationHeadroomError)
 from .params import SystemParams, guard_detuning
@@ -340,17 +340,15 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
         rungs = {}  # one store per scale: a larger one would keep every scale's rungs alive
         ground = _dressed(0, 0, p_s, p_s.omega1, include_rwa, rungs)
         guard_detuning(p_s.omega2, p_s.e0)
-        table = amplitude_table(p_s.omega1, p_s.omega2, p_s.e0, p_s.lambda_).tolist()
-        for n, m in DLE_CHANNELS:
-            closed = table[n][m]
+        point = np.array(astuple(p_s)[:4])  # numpy scalars: a zero divisor gives inf or nan
+        for (n, m), closed in zip(DLE_CHANNELS, map(float, _channel_values(*point))):
             orac = _overlap(ground, _dressed(n, m, p_s, p_s.omega2, include_rwa, rungs), m)
             # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)
             rel = abs(orac - closed) / abs(closed) if closed != 0.0 else None
             rows.append({
                 "channel_n": n, "channel_m": m,
                 "closed_form": closed, "oracle": orac, "rel_dev": rel,
-                "nmax": p.nmax, "lambda_scale": scale, "include_rwa": include_rwa,
-            })
+                "nmax": p.nmax, "lambda_scale": scale, "include_rwa": include_rwa})
     return rows
 
 

@@ -88,7 +88,9 @@ class SystemParams:
 class ValidityReport:
     """Dimensionless coupling-over-detuning ratios controlling perturbation theory.
 
-    Fields are floats for a SystemParams and arrays for array parameters.
+    Fields are floats for a SystemParams.  For array parameters a ratio is
+    an array if a parameter it reads is one, and so is the flag if any
+    ratio is.
     """
 
     eta_sum1: float
@@ -105,8 +107,8 @@ def validate_params(p: SystemParams) -> ValidityReport:
     """Report lambda/(omega +- E0) ratios; perturbative_ok iff all are below threshold.
 
     The threshold is PERTURBATIVE_THRESHOLD.  p may also be any object whose
-    omega1, omega2, e0 and lambda_ are numpy arrays; the ratios and the flag
-    are then elementwise.
+    omega1, omega2, e0 and lambda_ are numpy arrays or floats that broadcast
+    together; the ratios and the flag are then elementwise.
 
     Note the paper's own omega2 choice sits 0.029 GHz from E0 and fails any
     reasonable threshold through eta_diff2; that is deliberate near-resonant

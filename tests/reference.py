@@ -26,9 +26,9 @@ lowering an excited qubit contributes +lam*sqrt(n)/(omega+E0) at n-1 and
 -lam*sqrt(n+1)/(omega-E0) at n+1.  The states are left unnormalized
 (norm^2 = 1 + O(lam^2)), which is what the amplitude algebra consumes.
 
-normalized_sectors is the array route to report's normalized variant: the
-package scales one sector at a time on Python floats, and the tests compare
-it with this whole-table evaluation.
+normalized_sector is the array route to report's normalized variant: the
+package scales a sector of Python floats, and the tests compare it with
+this evaluation over arrays.
 
 reduced_pair is the one-matrix route to a two-qubit reduced density matrix,
 against which the package's stacked monogamy solve is checked.
@@ -367,22 +367,20 @@ def _divide_positive(x, d, keep: bool):
     return np.divide(x, d, out=x if keep else np.zeros_like(x), where=d > 0)
 
 
-def _normalized(a):
+def normalized_sector(a) -> list:
     """One sector a = (A(n; 0), ..., A(n; 3)) of arrays scaled to unit norm, elementwise.
 
-    A zero sector stays zero.  Dividing by the largest |A(n; m)| first keeps
-    the norm representable for sectors far below or above unit size.
+    The four entries (arrays, or the float 0.0 of a zero channel) are
+    broadcast together.  A zero sector stays zero.  Dividing by the largest
+    |A(n; m)| first keeps the norm representable for sectors far below or
+    above unit size.
     """
+    a = np.array(np.broadcast_arrays(*a), dtype=float)
     peak, sqrt = functools.reduce(np.maximum, map(abs, a)), np.sqrt
     unit = [_divide_positive(x, peak, keep=False) for x in a]
     t0, t1, t2, t3 = [u * u * k for u, k in zip(unit, CLASS_MULTIPLICITY)]
     norm = sqrt(((t0 + t1) + t2) + t3)
     return [_divide_positive(u, norm, keep=True) for u in unit]
-
-
-def normalized_sectors(table) -> np.ndarray:
-    """A[..., n, m] with each n-photon sector scaled to unit norm; zero sectors stay zero."""
-    return np.stack(_normalized(np.moveaxis(np.asarray(table, dtype=float), -1, 0)), axis=-1)
 
 
 def reduced_pair(psi: np.ndarray, keep: tuple[int, int]) -> np.ndarray:

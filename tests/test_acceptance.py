@@ -18,9 +18,9 @@ import time
 import numpy as np
 import pytest
 
-from dle3q import (SystemParams, amplitude_table, compare_with_closed_forms,
-                   dressed_state, entanglement_report, monogamy_residual,
-                   residual_tangle_general, shrink_factors)
+from dle3q import (SystemParams, compare_with_closed_forms, dressed_state,
+                   entanglement_report, monogamy_residual, residual_tangle_general,
+                   shrink_factors)
 from dle3q.cli import main
 from reference import (BasisState, diagonalize_total, dicke, energy_second_order, index_of,
                        padded, perturbed_state, symmetric_class_shift, symmetrizer)
@@ -105,12 +105,12 @@ def test_criterion_5_zero_contracts():
             SystemParams(1.0, 1.5, 0.7, 0.01)]
     ok = True
     for p in grid:
-        a = amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)
-        ok = ok and evaluate(p).w[3] == 0.0
+        cf = evaluate(p)
+        ok = ok and cf.w[3] == 0.0
         for n in range(3):
             for m in range(4):
                 if (n, m) not in ((2, 0), (1, 1), (0, 2), (2, 2)):
-                    ok = ok and a[n, m] == 0.0
+                    ok = ok and cf.amplitudes[n][m] == 0.0
     report("5 (A(n;3) = 0, w_3 = 0, zero outside the four channels)", ok,
            f"checked {len(grid)} parameter points, n = 0..2, m = 0..3")
 
@@ -157,7 +157,7 @@ def test_criterion_8_tunability():
 
     def closed_forms_on_grid():
         sectors = entanglement_report(5.0, grid, 3.721, 0.2).sectors
-        return sectors.tau_abc[:, 2], sectors.c_ab1[:, 0]
+        return sectors.tau_abc[2], sectors.c_ab1[0]
 
     taus, concs = closed_forms_on_grid()
     runtime = best_runtime(closed_forms_on_grid, repeats=3)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dle3q import (NormalizationError, SingularityError, SystemParams,
-                   amplitude_table, compare_with_closed_forms, concurrence_mixed,
+                   compare_with_closed_forms, concurrence_mixed,
                    concurrence_pair_general, entanglement_report,
-                   guard_detuning, monogamy_residual, residual_tangle_general,
-                   sector_measures)
-from dle3q.entangle import _EXCITATIONS, _PAIR_INDEX, _normalized, _wootters
+                   guard_detuning, monogamy_residual, residual_tangle_general)
+from dle3q.entangle import _EXCITATIONS, _PAIR_INDEX, _measures, _normalized, _wootters
 from reference import reduced_pair
 
 GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2)
@@ -69,8 +68,8 @@ def closed_form_sector(n, p):
 
     The closed-form table stops at n = 2; every sector past it vanishes.
     """
-    a = amplitude_table(p.omega1, p.omega2, p.e0, p.lambda_)
-    return [complex(a[n, bin(bits).count("1")]) if n <= 2 else 0j for bits in range(8)]
+    a = evaluate(p).amplitudes
+    return [complex(a[n][bin(bits).count("1")]) if n <= 2 else 0j for bits in range(8)]
 
 
 class TestConditionalTangle:
@@ -96,10 +95,10 @@ class TestConditionalTangle:
     def test_monotone_toward_resonance(self):
         # tau grows as omega2 approaches E0, on either side
         above = entanglement_report(5.0, np.array([3.73, 3.8, 4.0, 4.5]), 3.721, 0.2)
-        tau = above.sectors.tau_abc[:, 2]
+        tau = above.sectors.tau_abc[2]
         assert (tau[:-1] > tau[1:]).all()
         below = entanglement_report(5.0, np.array([3.0, 3.4, 3.6, 3.71]), 3.721, 0.2)
-        tau = below.sectors.tau_abc[:, 2]
+        tau = below.sectors.tau_abc[2]
         assert (tau[:-1] < tau[1:]).all()
 
     def test_singularity_guard(self):
@@ -163,11 +162,11 @@ class TestConditionalConcurrence:
 
     def test_report_flags_only_that_entry(self, paper_params):
         s = evaluate(paper_params).sectors
-        assert s.formula_path_mismatch.tolist() == [False, False, True]
+        assert s.formula_path_mismatch == [False, False, True]
 
     def test_report_normalized_variant_scaling(self, paper_params):
         cf = evaluate(paper_params)
-        normalized = sector_measures([_normalized(a) for a in cf.amplitudes.tolist()])
+        normalized = _measures(map(_normalized, cf.amplitudes))
         for n in (0, 1, 2):
             norm2 = sum(abs(c) ** 2 for c in closed_form_sector(n, paper_params))
             assert normalized.tau_abc[n] == pytest.approx(
@@ -184,7 +183,7 @@ class TestConditionalStateMapping:
     def test_sector_contract(self, paper_params):
         table = evaluate(paper_params).amplitudes
         for n in (0, 1, 2):
-            cs = [table[n, m] for m in _EXCITATIONS]
+            cs = [table[n][m] for m in _EXCITATIONS]
             assert cs == closed_form_sector(n, paper_params)
             assert cs[0b111] == 0.0
 

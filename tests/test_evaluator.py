@@ -3,8 +3,8 @@
 The paper's per-n closed forms live here as the reference the evaluator is
 checked against; the package derives every sector measure from the
 amplitude table through residual_tangle_general and concurrence_pair_general.
-sweep runs the formula lines on numpy arrays and report on the Python floats
-of its one point; both must print the same bits.
+entanglement_report runs on numpy arrays for sweep and on the Python floats
+of report's one point; both must give the same bits.
 """
 import contextlib
 import io
@@ -17,10 +17,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from reference import normalized_sectors
+from reference import normalized_sector
 
-from dle3q import SystemParams, cli, entanglement_report, sector_measures
+from dle3q import SystemParams, cli, entanglement_report
 from dle3q.cli import main
+from dle3q.entangle import _measures
 from dle3q.params import SINGULARITY_GUARD
 from dle3q.serialize import json_dumps
 
@@ -56,10 +57,15 @@ def paper_closed_forms(omega1, omega2, e0, lam) -> dict:
     }
 
 
-def fields(cf) -> dict:
-    return {"amplitudes": cf.amplitudes, "w": cf.w, "product_gap": cf.product_gap,
-            **{f"sectors.{k}": v for k, v in vars(cf.sectors).items()},
-            **{f"validity.{k}": v for k, v in vars(cf.validity).items()}}
+def leaves(cf) -> dict:
+    """Every value of a ClosedForms by name: each amplitude, w_m and per-n measure apart."""
+    out = {f"a_{n}_{m}": a for n, row in enumerate(cf.amplitudes) for m, a in enumerate(row)}
+    out.update((f"w_{m}", w) for m, w in enumerate(cf.w))
+    out["product_gap"] = cf.product_gap
+    out.update((f"{key}_{n}", value) for key, values in vars(cf.sectors).items()
+               for n, value in enumerate(values))
+    out.update((f"validity.{key}", value) for key, value in vars(cf.validity).items())
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,11 +74,13 @@ def fields(cf) -> dict:
 def test_size_n_equals_size_one_bit_for_bit(omega1, e0, lam, grid):
     grid = [w for w in grid if far_from_resonance(w, e0)]
     assume(grid and omega1 != e0)
-    batch = fields(entanglement_report(omega1, np.array(grid), e0, lam))
+    batch = leaves(entanglement_report(omega1, np.array(grid), e0, lam))
     for i, omega2 in enumerate(grid):
-        single = fields(entanglement_report(omega1, omega2, e0, lam))
+        single = leaves(entanglement_report(omega1, omega2, e0, lam))
         for name, value in single.items():
-            assert np.asarray(value).tobytes() == np.asarray(batch[name][i]).tobytes(), name
+            # a value that does not depend on omega2 (a zero channel, eta_sum1) stays a scalar
+            row = np.broadcast_to(batch[name], len(grid))[i]
+            assert np.asarray(value).tobytes() == row.tobytes(), name
 
 
 @settings(max_examples=200, deadline=None)
@@ -232,19 +240,22 @@ def test_report_json_round_trips(omega1, omega2, e0, lam):
     assert json_dumps(json.loads(out)) == out
 
 
-def as_python(forms):
-    """A ClosedForms, SectorMeasures or ValidityReport of numpy values as Python values."""
-    return type(forms)(**{key: as_python(value) if is_dataclass(value) else value.tolist()
-                          for key, value in vars(forms).items()})
+def one_point(value):
+    """value, a dataclass, list or leaf, with each one-element array as its Python element."""
+    if is_dataclass(value):
+        return type(value)(**{key: one_point(v) for key, v in vars(value).items()})
+    if isinstance(value, list):
+        return list(map(one_point, value))
+    return value.item() if isinstance(value, np.ndarray) else value
 
 
 def array_point_forms(p):
-    """cli._point_forms evaluated by entanglement_report on 0-d arrays."""
+    """cli._point_forms evaluated by entanglement_report on one-element arrays."""
     # a zero divisor or an overflow surfaces as inf or nan, which _report_doc refuses
     with np.errstate(all="ignore"):
-        cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
-        normalized = sector_measures(normalized_sectors(cf.amplitudes))
-    return as_python(cf), as_python(normalized)
+        cf = entanglement_report(*(np.array([v]) for v in (p.omega1, p.omega2, p.e0, p.lambda_)))
+        normalized = _measures(map(normalized_sector, cf.amplitudes))
+    return one_point(cf), one_point(normalized)
 
 
 def report_doc(p, forms):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dle3q import (DegeneracyAmbiguityError, ParameterDomainError,
                    SolverDiagnosticsError, SystemParams, TruncationHeadroomError,
-                   amplitude_table, compare_with_closed_forms, dressed_state,
+                   compare_with_closed_forms, dressed_state, entanglement_report,
                    sudden_overlap)
 from dle3q import oracle
 from dle3q.amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS
@@ -479,7 +479,8 @@ class TestSuddenOverlap:
     def test_one_qubit_channel_ratio(self):
         # lam = 0.001 * omega1, omega2 = 0.9 * omega1
         p = SystemParams(W1, 4.5, E0, 0.005, nmax=20)
-        ratio = sudden_overlap(1, 1, p) / amplitude_table(W1, 4.5, E0, 0.005)[1, 1]
+        closed = entanglement_report(W1, 4.5, E0, 0.005).amplitudes[1][1]
+        ratio = sudden_overlap(1, 1, p) / closed
         assert 0.999 <= ratio <= 1.001
 
     @pytest.mark.parametrize("rwa", [False, True])
@@ -541,7 +542,7 @@ class TestSuddenOverlap:
         # orthogonality forces zero at omega2 = omega1, e.g. channel (2,2))
         p_same = SystemParams(W1, W1, E0, 0.02, nmax=20)
         assert abs(sudden_overlap(2, 2, p_same, include_rwa=True)) <= 1e-10
-        assert amplitude_table(W1, W1, E0, 0.02)[2, 2] != 0.0
+        assert entanglement_report(W1, W1, E0, 0.02).amplitudes[2][2] != 0.0
         # analytic second-order value of the full overlap at omega2 != omega1
         # (path sum over V intermediates: cross terms plus both second-order
         # state corrections collapse to a perfect square)

@@ -1,7 +1,9 @@
-"""The package's export list matches what its library modules define, and each
-CLI command loads only the modules it runs."""
+"""The package's export list matches what its library modules define, README's Library
+block runs as shown, and each CLI command loads only the modules it runs."""
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 from test_cli import AMPLITUDES_NOT_FINITE
@@ -9,8 +11,9 @@ from test_golden import CASES, GOLDEN, UNDERFLOW, fresh_run
 
 import dle3q
 
-#: Modules whose public API the package re-exports; cli and serialize are front ends.
-LIBRARY_MODULES = ("amplitudes", "entangle", "errors", "oracle", "params")
+#: Modules whose public API the package re-exports; cli and serialize are front ends, and
+#: amplitudes holds only the private channel formulas and their constants.
+LIBRARY_MODULES = ("entangle", "errors", "oracle", "params")
 
 
 def test_every_export_resolves(monkeypatch):
@@ -27,7 +30,8 @@ def test_every_export_resolves(monkeypatch):
     exec("from dle3q import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(dle3q.__all__)
     # names the package no longer serves, the product-space ones included
-    for name in ("no_such_name", "BasisState", "symmetrizer", "perturbed_state"):
+    for name in ("no_such_name", "BasisState", "symmetrizer", "perturbed_state",
+                 "amplitude_table", "sector_measures"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(dle3q, name)
 
@@ -41,6 +45,31 @@ def test_public_definitions_are_exported(module_name):
     assert public
     missing = [name for name in public if name not in dle3q.__all__]
     assert not missing, f"dle3q.{module_name} defines {missing} but __all__ lacks them"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: A README comment that shows its line's value: "= -0.67101" or "= 5.6212e-08".
+SHOWN = re.compile(r"= (-?\d+\.(\d+)(e[-+]\d+)?)")
+
+
+def test_readme_library_block_runs():
+    # each value a comment shows is the line's value, rounded to the digits shown
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    got, want = [], []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        match = SHOWN.search(comment)
+        if match is None:
+            exec(line, namespace)
+            continue
+        value, digits = eval(code, namespace), len(match[2])
+        got.append(f"{value:.{digits}e}" if match[3] else f"{value:.{digits}f}")
+        want.append(match[1])
+    assert len(want) == 8
+    assert got == want
 
 
 def _fresh_process(code: str, *args: str) -> list[str]:

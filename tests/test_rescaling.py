@@ -12,8 +12,8 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from dle3q import (SystemParams, amplitude_table, compare_with_closed_forms,
-                   entanglement_report, validate_params)
+from dle3q import (SystemParams, compare_with_closed_forms, entanglement_report,
+                   validate_params)
 from dle3q.cli import main
 from dle3q.params import JSON_KEYS
 
@@ -24,12 +24,11 @@ def _outputs(omega1, omega2, e0, lam, include_rwa):
     """Everything the package computes at one point, or the type of the error it raises."""
     try:
         p = SystemParams(omega1, omega2, e0, lam, nmax=40)
-        sectors = entanglement_report(omega1, omega2, e0, lam).sectors
+        cf = entanglement_report(omega1, omega2, e0, lam)
         rows = compare_with_closed_forms(p, [1.0, 0.5, 0.25], include_rwa=include_rwa)
     except (ValueError, RuntimeError) as exc:  # every error type dle3q raises
         return type(exc)
-    return (amplitude_table(omega1, omega2, e0, lam).tolist(),
-            {key: value.tolist() for key, value in vars(sectors).items()},
+    return (cf.amplitudes, vars(cf.sectors),
             validate_params(p).ratios(),
             [(r["closed_form"], r["oracle"], r["rel_dev"]) for r in rows])
 
