@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 #: The home module of each public name.
 _HOME = {
     "ClosedForms": "entangle", "SectorMeasures": "entangle",
-    "concurrence_mixed": "entangle", "concurrence_pair_general": "entangle",
-    "entanglement_report": "entangle", "monogamy_residual": "entangle",
-    "residual_tangle_general": "entangle",
+    "concurrence_pair_general": "entangle", "entanglement_report": "entangle",
+    "monogamy_residual": "entangle", "residual_tangle_general": "entangle",
     "DegeneracyAmbiguityError": "errors", "NormalizationError": "errors",
     "ParameterDomainError": "errors", "SingularityError": "errors",
     "SolverDiagnosticsError": "errors", "TruncationHeadroomError": "errors",

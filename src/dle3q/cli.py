@@ -86,22 +86,19 @@ def _not_finite(name: str) -> ParameterDomainError:
         f"{name} is not finite at these parameters (outside double-precision range)")
 
 
-def _require_finite(name: str, values) -> np.ndarray:
-    """values as an array, all of it finite."""
-    values = np.asarray(values)
-    if not np.isfinite(values).all():
-        raise _not_finite(name)
-    return values
-
-
 def _all_finite(values) -> bool:
     if isinstance(values, list):
         return all(map(_all_finite, values))
-    return math.isfinite(values)
+    if isinstance(values, (int, float)):
+        return math.isfinite(values)
+    return bool(np.isfinite(values).all())
 
 
 def _finite(name: str, values):
-    """values, a Python scalar or nested list of them, all of them finite."""
+    """values, all of it finite: a Python scalar, a nested list of them, or an array.
+
+    Python scalars and lists are checked without a numpy call.
+    """
     if not _all_finite(values):
         raise _not_finite(name)
     return values
@@ -209,7 +206,7 @@ def _sweep_table(p_base: SystemParams, omega2: np.ndarray) -> tuple[Table, dict]
     columns = {"omega2": omega2, **_headline(cf),
                "perturbative_ok": cf.validity.perturbative_ok}
     flags = _monotone_flags(omega2, columns["tau_2"], p_base.e0)
-    return Table({key: _require_finite(key, columns[key]) for key in SWEEP_COLUMNS}), flags
+    return Table({key: _finite(key, columns[key]) for key in SWEEP_COLUMNS}), flags
 
 
 def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
@@ -331,14 +328,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParameterDomainError, SingularityError, TruncationHeadroomError) as exc:
+    except (ParameterDomainError, SingularityError, TruncationHeadroomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverDiagnosticsError, DegeneracyAmbiguityError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -189,8 +189,8 @@ def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
                        validate_params(point))
 
 
-def _wootters(rho: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Wootters concurrences of a stack rho[k, 4, 4] of Hermitian matrices.
+def _wootters(rho: np.ndarray) -> list[float]:
+    """Wootters concurrences of a stack rho[k, 4, 4] of Hermitian PSD matrices.
 
     Standard spin-flip construction: C = max(0, l1 - l2 - l3 - l4) with l_i
     the decreasing square roots of the eigenvalues of rho * rho_tilde.
@@ -198,36 +198,12 @@ def _wootters(rho: np.ndarray) -> tuple[list[float], np.ndarray]:
     which is the same spectrum evaluated without differencing noisy
     near-zero eigenvalues.  One eigh gives every principal square root
     (negative eigenvalues clipped to 0) and one svd every spectrum.
-    Returns the k concurrences as Python floats and the ascending
-    eigenvalues w[k, 4] of each matrix, for the caller's PSD check.
+    Returns the k concurrences as Python floats; the input is not checked.
     """
     w, v = np.linalg.eigh(rho)
     root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
     lam = np.linalg.svd(root.swapaxes(1, 2) @ _SPIN_FLIP @ root, compute_uv=False)
-    return [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam.tolist()], w
-
-
-def concurrence_mixed(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix (see _wootters).
-
-    Raises ValueError for a matrix that is not 4x4, holds a NaN or infinite
-    entry, is not Hermitian, or is not positive semidefinite (an eigenvalue
-    below -1e-10 times its largest entry).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    peak = float(np.abs(rho).max())
-    if not math.isfinite(peak):
-        raise ValueError("density matrix has a non-finite entry")
-    scale = max(peak, 1e-300)
-    if np.abs(rho - rho.conj().T).max() > 1e-10 * scale:
-        raise ValueError("density matrix is not Hermitian")
-    (concurrence,), w = _wootters(rho[None])
-    if w[0, 0] < -1e-10 * scale:
-        raise ValueError(f"density matrix is not positive semidefinite "
-                         f"(eigenvalue {w[0, 0]:.3e})")
-    return concurrence
+    return [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam.tolist()]
 
 
 #: psi[_PAIR_INDEX] is the (2, 4, 2) stack of factors M with rho = M M^dagger
@@ -260,5 +236,5 @@ def monogamy_residual(a) -> float:
         raise NormalizationError(f"state norm {norm} differs from 1 beyond 1e-10")
     tau_a_bc = 4.0 * (r00 * r11 - (r01.real * r01.real + r01.imag * r01.imag))
     m = psi[_PAIR_INDEX]
-    c_ab, c_ac = _wootters(m @ m.conj().swapaxes(1, 2))[0]
+    c_ab, c_ac = _wootters(m @ m.conj().swapaxes(1, 2))
     return tau_a_bc - c_ab ** 2 - c_ac ** 2 - residual_tangle_general(c)

@@ -99,9 +99,6 @@ class ValidityReport:
     eta_diff2: float
     perturbative_ok: bool
 
-    def ratios(self) -> tuple[float, float, float, float]:
-        return (self.eta_sum1, self.eta_sum2, self.eta_diff1, self.eta_diff2)
-
 
 def validate_params(p: SystemParams) -> ValidityReport:
     """Report lambda/(omega +- E0) ratios; perturbative_ok iff all are below threshold.

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dle3q import (NormalizationError, SingularityError, SystemParams,
-                   compare_with_closed_forms, concurrence_mixed,
-                   concurrence_pair_general, entanglement_report,
-                   guard_detuning, monogamy_residual, residual_tangle_general)
+                   compare_with_closed_forms, concurrence_pair_general,
+                   entanglement_report, guard_detuning, monogamy_residual,
+                   residual_tangle_general)
 from dle3q.entangle import _EXCITATIONS, _PAIR_INDEX, _measures, _normalized, _wootters
 from reference import reduced_pair
 
@@ -189,6 +189,8 @@ class TestConditionalStateMapping:
 
 
 class TestMixedConcurrence:
+    """The Wootters solve _wootters, one matrix at a time (rho[None]) or stacked."""
+
     def test_reduces_to_pure_formula(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -196,10 +198,10 @@ class TestMixedConcurrence:
             phi /= np.linalg.norm(phi)
             rho = np.outer(phi, phi.conj())
             expected = concurrence_pair_general(*phi)
-            assert concurrence_mixed(rho) == pytest.approx(expected, abs=1e-12)
+            assert _wootters(rho[None])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_maximally_mixed_is_separable(self):
-        assert concurrence_mixed(np.eye(4) / 4) == 0.0
+        assert _wootters(np.eye(4)[None] / 4) == [0.0]
 
     def test_werner_state_threshold(self):
         # Werner states are entangled iff p > 1/3, with C = (3p - 1)/2
@@ -208,41 +210,15 @@ class TestMixedConcurrence:
         proj = np.outer(bell, bell)
         for prob, expected in ((0.2, 0.0), (0.5, 0.25), (1.0, 1.0)):
             rho = prob * proj + (1 - prob) * np.eye(4) / 4
-            assert concurrence_mixed(rho) == pytest.approx(expected, abs=1e-12)
-
-    def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            concurrence_mixed(np.eye(3))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_guard(self, bad):
-        rho = np.eye(4, dtype=complex) / 4
-        rho[1, 2] = rho[2, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            concurrence_mixed(rho)
-
-    def test_hermiticity_guard(self):
-        rho = np.eye(4, dtype=complex) / 4
-        rho[0, 1] = 0.3
-        with pytest.raises(ValueError, match="Hermitian"):
-            concurrence_mixed(rho)
-
-    @pytest.mark.parametrize("rho", [
-        -np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2,  # minus the Bell projector
-        np.diag([1.5, -0.5, 0.0, 0.0]),
-    ], ids=["negative-bell", "negative-eigenvalue"])
-    def test_positive_semidefinite_guard(self, rho):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            concurrence_mixed(rho)
+            assert _wootters(rho[None])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_stacked_pairs_match_single_matrix_path(self):
         for psi in random_pure_states(200, seed=20261019):
             pairs = [reduced_pair(psi, (0, 1)), reduced_pair(psi, (0, 2))]
             m = psi[_PAIR_INDEX]  # the stack monogamy_residual solves
             np.testing.assert_allclose(m @ m.conj().swapaxes(1, 2), pairs, rtol=0, atol=1e-15)
-            stacked, _ = _wootters(np.stack(pairs))
-            for value, rho in zip(stacked, pairs):
-                assert value == pytest.approx(concurrence_mixed(rho), abs=1e-12)
+            for value, rho in zip(_wootters(np.stack(pairs)), pairs):
+                assert value == pytest.approx(_wootters(rho[None])[0], abs=1e-12)
 
 
 class TestMonogamy:
@@ -252,7 +228,7 @@ class TestMonogamy:
     def test_w_state_pieces(self):
         # tau_A(BC) = 8/9, C_AB^2 = C_AC^2 = 4/9, tau_ABC = 0
         assert monogamy_residual(W_STATE) == pytest.approx(0.0, abs=1e-12)
-        assert concurrence_mixed(reduced_pair(W_STATE, (0, 1))) ** 2 == \
+        assert _wootters(reduced_pair(W_STATE, (0, 1))[None])[0] ** 2 == \
             pytest.approx(4 / 9, abs=1e-12)
 
     @pytest.mark.parametrize("ones", [(0,), (0, 6), (0, 5), (0, 3)],

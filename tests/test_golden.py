@@ -102,8 +102,10 @@ REFUSED = {f"report_underflow.{fmt}": [*UNDERFLOW, "--format", fmt] for fmt in (
 #: OPENBLAS_CORETYPE of each cold run; None leaves the choice to the OpenBLAS build.
 KERNELS = (None, "Prescott", "Nehalem")
 
-#: The mixed-state tests: the monogamy residual is a difference of LAPACK spectra,
-#: so their tolerances must hold under the older kernels too.
+#: The mixed-state tests (the monogamy residual, the Wootters solve _wootters in
+#: TestMixedConcurrence, criterion 7): each reads LAPACK spectra, and the monogamy
+#: residual is a difference of them, so their tolerances must hold under the older
+#: kernels too.
 MIXED_STATE = ("tests/test_entangle.py::TestMonogamy",
                "tests/test_entangle.py::TestMixedConcurrence",
                "tests/test_acceptance.py::test_criterion_7_monogamy_property_suite")

@@ -31,7 +31,7 @@ def test_every_export_resolves(monkeypatch):
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(dle3q.__all__)
     # names the package no longer serves, the product-space ones included
     for name in ("no_such_name", "BasisState", "symmetrizer", "perturbed_state",
-                 "amplitude_table", "sector_measures"):
+                 "amplitude_table", "sector_measures", "concurrence_mixed"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(dle3q, name)
 

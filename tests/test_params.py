@@ -1,9 +1,15 @@
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dle3q import ParameterDomainError, SystemParams, validate_params
+
+
+def ratios(p):
+    """The four coupling-over-detuning ratios validate_params reports for p."""
+    return astuple(validate_params(p))[:4]
 
 
 class TestSystemParams:
@@ -68,13 +74,13 @@ class TestValidateParams:
         assert not report.perturbative_ok
 
     def test_weak_coupling_point_ok(self):
-        report = validate_params(SystemParams(5.0, 5.0, 3.721, 0.005))
-        assert all(r < 0.004 for r in report.ratios())
-        assert report.perturbative_ok
+        p = SystemParams(5.0, 5.0, 3.721, 0.005)
+        assert all(r < 0.004 for r in ratios(p))
+        assert validate_params(p).perturbative_ok
 
     def test_ratios_linear_in_lambda(self):
-        base = validate_params(SystemParams(5.0, 4.5, 3.721, 0.1)).ratios()
-        half = validate_params(SystemParams(5.0, 4.5, 3.721, 0.05)).ratios()
+        base = ratios(SystemParams(5.0, 4.5, 3.721, 0.1))
+        half = ratios(SystemParams(5.0, 4.5, 3.721, 0.05))
         for b, h in zip(base, half):
             assert h == pytest.approx(b / 2, rel=1e-12)
 
@@ -82,8 +88,8 @@ class TestValidateParams:
     def test_scale_invariance(self, k):
         p = SystemParams(5.0, 3.75, 3.721, 0.2)
         scaled = SystemParams(5.0 * k, 3.75 * k, 3.721 * k, 0.2 * k)
-        for a, b in zip(validate_params(p).ratios(), validate_params(scaled).ratios()):
+        for a, b in zip(ratios(p), ratios(scaled)):
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_ratios_always_finite(self, paper_params):
-        assert all(math.isfinite(r) and r > 0 for r in validate_params(paper_params).ratios())
+        assert all(math.isfinite(r) and r > 0 for r in ratios(paper_params))
