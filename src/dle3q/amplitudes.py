@@ -18,7 +18,8 @@ to the table.  The four formulas are written once, in _channel_values.
 entangle.entanglement_report assembles the one closed-form table from it,
 indexed amplitudes[n][m] for n = 0..2 and m = 0..3, and the oracle reads
 the four values at each scaled coupling of validate without loading
-entangle.
+entangle.  The module holds only these formulas and their constants: the
+check that an (n, m) label names a channel is params._channel.
 
 Convention: the (0, 0) survival overlap (which is ~1) is not an excitation
 amplitude; the closed-form channel set carries only the switch-induced
@@ -31,9 +32,6 @@ the quoted numbers.)
 from __future__ import annotations
 
 import math
-import operator
-
-from .errors import ParameterDomainError
 
 #: The only (n, m) channels with nonzero switch amplitude.
 DLE_CHANNELS = ((2, 0), (1, 1), (0, 2), (2, 2))
@@ -61,25 +59,4 @@ def _channel_values(omega1, omega2, e0, lam):
             lam * (omega1 - omega2) / (s1 * s2),
             2.0 * lam2 / (d2 * s1),
             -2.0 * _SQRT2 * lam2 / (s2 * s1))
-
-
-def _integer(value) -> int | None:
-    """value as a Python int, or None if it is not an integer (a bool is not)."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
-def _channel(n: int, m: int) -> tuple[int, int]:
-    """(n, m) as Python ints, checked to name a channel: n >= 0 and 0 <= m <= 3."""
-    n_int, m_int = _integer(n), _integer(m)
-    if n_int is None or m_int is None:
-        raise ParameterDomainError(
-            f"invalid channel (n={n!r}, m={m!r}): n and m must be integers")
-    if n_int < 0 or not 0 <= m_int <= 3:
-        raise ParameterDomainError(f"invalid channel (n={n_int}, m={m_int})")
-    return n_int, m_int
 

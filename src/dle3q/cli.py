@@ -76,11 +76,6 @@ def _collect_params(args, need_omega2: bool = True) -> SystemParams:
     return SystemParams.from_flat_dict(flat)
 
 
-#: The published quantities, as report's summary block and sweep's columns.
-SUMMARY_KEYS = ["w_1", "w_2", "tau_2", "c_0_ab1", "c_1_ab0", "c_2_ab0", "c_2_ab1"]
-SWEEP_COLUMNS = ["omega2", "w_0", *SUMMARY_KEYS, "perturbative_ok"]
-
-
 def _not_finite(name: str) -> ParameterDomainError:
     return ParameterDomainError(
         f"{name} is not finite at these parameters (outside double-precision range)")
@@ -105,11 +100,10 @@ def _finite(name: str, values):
 
 
 def _headline(cf: ClosedForms) -> dict:
-    """The published quantities keyed by sweep column: w indexed by m, the measures by n."""
+    """report's summary block and sweep's middle columns: w indexed by m, measures by n."""
     w, s = cf.w, cf.sectors
-    return {"w_0": w[0], "w_1": w[1], "w_2": w[2], "tau_2": s.tau_abc[2],
-            "c_0_ab1": s.c_ab1[0], "c_1_ab0": s.c_ab0[1], "c_2_ab0": s.c_ab0[2],
-            "c_2_ab1": s.c_ab1[2]}
+    return {"w_1": w[1], "w_2": w[2], "tau_2": s.tau_abc[2], "c_0_ab1": s.c_ab1[0],
+            "c_1_ab0": s.c_ab0[1], "c_2_ab0": s.c_ab0[2], "c_2_ab1": s.c_ab1[2]}
 
 
 def _point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
@@ -156,9 +150,7 @@ def _report_doc(p: SystemParams) -> dict:
         "probabilities": {**{f"w_{m}": w[m] for m in range(4)},
                           "product_gap": _finite("product_gap", cf.product_gap)},
         "entanglement": _sector_rows(cf, normalized),
-        "summary": {key: value
-                    for key, value in _headline(cf).items()
-                    if key in SUMMARY_KEYS},
+        "summary": _headline(cf),
     }
 
 
@@ -198,15 +190,15 @@ def _monotone_flags(omega2: np.ndarray, tau_2: np.ndarray, e0: float) -> dict:
 
 
 def _sweep_table(p_base: SystemParams, omega2: np.ndarray) -> tuple[Table, dict]:
-    """The SWEEP_COLUMNS of every grid point as one table, and the monotone flags."""
+    """Each grid point's row (omega2, w_0, _headline, perturbative_ok) as one table, and flags."""
     from .entangle import entanglement_report
     from .serialize import Table
 
     cf = entanglement_report(p_base.omega1, omega2, p_base.e0, p_base.lambda_)
-    columns = {"omega2": omega2, **_headline(cf),
+    columns = {"omega2": omega2, "w_0": cf.w[0], **_headline(cf),
                "perturbative_ok": cf.validity.perturbative_ok}
     flags = _monotone_flags(omega2, columns["tau_2"], p_base.e0)
-    return Table({key: _finite(key, columns[key]) for key in SWEEP_COLUMNS}), flags
+    return Table({key: _finite(key, value) for key, value in columns.items()}), flags
 
 
 def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
@@ -219,7 +211,7 @@ def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
 
     table, flags = _sweep_table(p_base, omega2)
     if fmt == "csv":
-        return csv_lines(SWEEP_COLUMNS, table), flags
+        return csv_lines(list(table.columns), table), flags
     doc = {"inputs": p_base.to_flat_dict(), "rows": table, "skipped": skipped, **flags}
     del doc["inputs"]["omega2_ghz"]  # swept, not a fixed input
     return json_dumps(doc), flags
@@ -248,10 +240,6 @@ def cmd_sweep(args) -> int:
         for key, value in flags.items():
             print(f"{key}: {value}", file=sys.stderr)
     return 0
-
-
-VALIDATE_COLUMNS = ["channel_n", "channel_m", "closed_form", "oracle",
-                    "rel_dev", "nmax", "lambda_scale", "include_rwa"]
 
 
 def cmd_validate(args) -> int:
@@ -286,8 +274,8 @@ def cmd_validate(args) -> int:
                "gate_passed": not failures}
         sys.stdout.write(json_dumps(doc))
     else:
-        table = [[r[c] for c in VALIDATE_COLUMNS] for r in rows]
-        sys.stdout.write(csv_lines(VALIDATE_COLUMNS, table))
+        # the oracle's rows are never empty and share one key order, the header
+        sys.stdout.write(csv_lines(list(rows[0]), [list(r.values()) for r in rows]))
     for channel, rwa, factors in failures:
         print(f"gate failed: channel {channel} (include_rwa={rwa}) "
               f"shrink factors {['%.2f' % f for f in factors]} < 3", file=sys.stderr)

@@ -89,10 +89,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel, _channel_values
+from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel_values
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SolverDiagnosticsError, TruncationHeadroomError)
-from .params import SystemParams, guard_detuning
+from .params import SystemParams, _channel, guard_detuning
 
 #: Minimum photon headroom between a dressed label and the cutoff.
 HEADROOM = 4

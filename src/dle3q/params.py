@@ -4,6 +4,10 @@ All frequencies are linear frequencies in GHz.  Every quantity the package
 reports (amplitudes, probabilities, tangles, concurrences) is a ratio of
 frequencies, so the 2*pi factors of angular-frequency conventions cancel
 and plain-GHz inputs are the natural unit.
+
+_integer is the one integer rule, for nmax and for the (n, m) labels that
+_channel checks: a numpy integer passes as the Python int it holds; a bool,
+a float or a string does not.
 """
 from __future__ import annotations
 
@@ -28,6 +32,27 @@ SINGULARITY_GUARD = 1e-12
 PERTURBATIVE_THRESHOLD = 0.5
 
 
+def _integer(value) -> int | None:
+    """value as a Python int, or None if it is not an integer (a bool is not)."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _channel(n: int, m: int) -> tuple[int, int]:
+    """(n, m) as Python ints, checked to name a channel: n >= 0 and 0 <= m <= 3."""
+    n_int, m_int = _integer(n), _integer(m)
+    if n_int is None or m_int is None:
+        raise ParameterDomainError(
+            f"invalid channel (n={n!r}, m={m!r}): n and m must be integers")
+    if n_int < 0 or not 0 <= m_int <= 3:
+        raise ParameterDomainError(f"invalid channel (n={n_int}, m={m_int})")
+    return n_int, m_int
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Cavity / qubit frequencies, coupling and photon truncation.
@@ -35,7 +60,7 @@ class SystemParams:
     omega1, omega2 : cavity mode frequency before / after the boundary switch
     e0             : qubit transition frequency
     lambda_        : qubit-photon coupling strength
-    nmax           : photon cutoff used by the exact-diagonalization oracle
+    nmax           : photon cutoff of the exact-diagonalization oracle, a Python int
     """
 
     omega1: float
@@ -52,10 +77,12 @@ class SystemParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, float(value))  # an int prints as the float it means
-        if not isinstance(self.nmax, int) or isinstance(self.nmax, bool):
+        nmax = _integer(self.nmax)
+        if nmax is None:
             raise ParameterDomainError(f"nmax must be an integer, got {self.nmax!r}")
-        if self.nmax < 2:
-            raise ParameterDomainError(f"nmax must be >= 2, got {self.nmax}")
+        if nmax < 2:
+            raise ParameterDomainError(f"nmax must be >= 2, got {nmax}")
+        object.__setattr__(self, "nmax", nmax)
         # Exact resonance makes the closed forms singular; near-resonance is
         # allowed (the paper tunes omega2 close to E0 on purpose) and is
         # flagged through ValidityReport instead.

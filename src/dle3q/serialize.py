@@ -193,7 +193,7 @@ def _emit(node, depth: int, parts: list[str]) -> None:
             _emit(value, depth + 1, parts)
             parts.append(",\n" if i < len(node) - 1 else "\n")
         parts.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
+    elif isinstance(node, list):
         if not node:
             parts.append("[]")
             return

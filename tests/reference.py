@@ -28,7 +28,8 @@ lowering an excited qubit contributes +lam*sqrt(n)/(omega+E0) at n-1 and
 
 normalized_sector is the array route to report's normalized variant: the
 package scales a sector of Python floats, and the tests compare it with
-this evaluation over arrays.
+this evaluation over arrays.  normalized_sector_exact is the exact route:
+the same sector and its measures in 80-digit decimal arithmetic.
 
 reduced_pair is the one-matrix route to a two-qubit reduced density matrix,
 against which the package's stacked monogamy solve is checked.
@@ -36,16 +37,18 @@ against which the package's stacked monogamy solve is checked.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from dle3q.amplitudes import CLASS_MULTIPLICITY, _channel, _integer
+from dle3q.amplitudes import CLASS_MULTIPLICITY
 from dle3q.errors import (ParameterDomainError, SolverDiagnosticsError,
                           TruncationHeadroomError)
 from dle3q.oracle import _eigh_checked
-from dle3q.params import SystemParams, guard_detuning
+from dle3q.params import SystemParams, _channel, _integer, guard_detuning
 
 #: Bit masks of the three qubit slots, q1 first.
 QUBIT_BITS = (4, 2, 1)
@@ -381,6 +384,33 @@ def normalized_sector(a) -> list:
     t0, t1, t2, t3 = [u * u * k for u, k in zip(unit, CLASS_MULTIPLICITY)]
     norm = sqrt(((t0 + t1) + t2) + t3)
     return [_divide_positive(u, norm, keep=True) for u in unit]
+
+
+def normalized_sector_exact(a, factor) -> tuple[list[Decimal], dict[str, Decimal]]:
+    """One sector a = (A(n; 0), ..., A(n; 3)) of floats scaled to unit norm, and its measures.
+
+    Each float converts to Decimal exactly, and the arithmetic keeps 80 digits, so
+    on the package's sectors, where nothing cancels, its rounding is some 60
+    orders of magnitude below binary64's.  The measures are the residual tangle
+    4|d1 - 2 d2 + 4 d3| over all eight coefficients a[4i + 2j + k] = A(n; i + j + k),
+    C_AB0 = 2|a0 a2 - a1^2| and C_AB1 = factor * 2|a1 a3 - a2^2|, written out here
+    apart from the package.  A zero sector stays zero.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a = [Decimal(x) for x in a]
+        norm = sum(k * x * x for x, k in zip(a, CLASS_MULTIPLICITY)).sqrt()
+        v = [x / norm if norm else x for x in a]
+        c = {bits: v[sum(bits)] for bits in itertools.product((0, 1), repeat=3)}
+        # products of complementary coefficients a_ijk a_(1-i)(1-j)(1-k), one per pair
+        pairs = [c[bits] * c[tuple(1 - b for b in bits)] for bits in c if bits[0] == 0]
+        d1 = sum(x * x for x in pairs)
+        d2 = sum(x * y for x, y in itertools.combinations(pairs, 2))
+        d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
+              + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
+        return v, {"tau_abc": 4 * abs(d1 - 2 * d2 + 4 * d3),
+                   "c_ab0": 2 * abs(v[0] * v[2] - v[1] * v[1]),
+                   "c_ab1": Decimal(factor) * 2 * abs(v[1] * v[3] - v[2] * v[2])}
 
 
 def reduced_pair(psi: np.ndarray, keep: tuple[int, int]) -> np.ndarray:

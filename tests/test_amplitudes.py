@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dle3q import (ParameterDomainError, SingularityError, SystemParams,
                    compare_with_closed_forms, dressed_state, entanglement_report)
-from dle3q.amplitudes import DLE_CHANNELS, _channel
+from dle3q.amplitudes import DLE_CHANNELS
 from dle3q.cli import _report_doc
+from dle3q.params import _channel
 from dle3q.oracle import sudden_overlap
 from reference import BasisState, amplitude_via_overlap, energy_second_order
 
@@ -60,7 +61,7 @@ class TestClosedForms:
 
 
 #: Every entry point that takes an (n, m) label, as f(n, m, p) -> float, and
-#: (as closed_form) the label check of the closed-form module that they share.
+#: (as closed_form) the label check in params that they share.
 CHANNEL_ROUTES = {
     "closed_form": lambda n, m, p: _channel(n, m), "via_overlap": amplitude_via_overlap,
     "sudden_overlap": sudden_overlap,

@@ -17,11 +17,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from reference import normalized_sector
+from reference import normalized_sector, normalized_sector_exact
 
 from dle3q import SystemParams, cli, entanglement_report
 from dle3q.cli import main
-from dle3q.entangle import _measures
+from dle3q.entangle import TABULATED_C_AB1_FACTOR, _measures, _normalized
 from dle3q.params import SINGULARITY_GUARD
 from dle3q.serialize import json_dumps
 
@@ -149,12 +149,14 @@ def gamma(n: int) -> Fraction:
     return n * U / (1 - n * U)
 
 
-#: (E0, omega2): omega2 anywhere, or E0 (1 +- 10^-k) for k in 3..11, where omega2 - E0 is
-#: exact and the lambda^2 channels grow as 1/|omega2 - E0|.
+#: omega2 / E0 = 1 +- 10^-k for k in 3..11, where omega2 - E0 is exact and the lambda^2
+#: channels grow as 1/|omega2 - E0|.
+near_resonance = st.builds(lambda sign, k: 1 + sign * 10.0 ** -k,
+                           st.sampled_from((-1, 1)), st.integers(3, 11))
+
+#: (E0, omega2): omega2 anywhere, or near_resonance.
 detuned_points = frequencies.flatmap(lambda e0: st.tuples(st.just(e0), st.one_of(
-    frequencies,
-    st.builds(lambda sign, k: e0 * (1 + sign * 10.0 ** -k),
-              st.sampled_from((-1, 1)), st.integers(3, 11)))))
+    frequencies, near_resonance.map(lambda ratio: e0 * ratio))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,6 +204,63 @@ def test_rational_report_fields_within_rounding_of_exact(point, omega1, lam):
     # more, so its error is bounded relative to w_2 + w_1^2, not to the difference
     gap = probs["product_gap"]
     assert abs(Fraction(gap) - (w_2 - w_1 * w_1)) <= gamma(28) * (w_2 + w_1 * w_1), gap
+
+
+#: (omega1, omega2, E0): half near_resonance, half close_pairs with E0 anywhere.
+normalized_points = st.one_of(
+    st.tuples(frequencies, frequencies, near_resonance).map(
+        lambda t: (t[0], t[1] * t[2], t[1])),
+    st.tuples(close_pairs, frequencies).map(lambda t: (*t[0], t[1])))
+
+# The roundings of entangle._normalized and _sector_values on a sector of floats,
+# counted to first order: each rounding is a factor (1 + d), |d| <= u, and k is the
+# sum of the magnitudes of their exponents in the result, which gamma(k) bounds.
+# n = 0 and 1 hold one nonzero class, of size 3.  Its unit entry is +-1 and 3 u u is 3,
+# exactly; norm = fl(sqrt 3) rounds once and the entry u / norm once more: k = 2.  The
+# one nonzero measure, 2 v v (the factor 2 is exact), doubles that and rounds: k = 5.
+# The other two multiply a zero into every term: exactly 0, k = 0.
+# n = 2 holds a0 = A(2;0) and a2 = A(2;2).  The larger is the peak, whose unit entry is
+# +-1 exactly; the other's, r = fl(a / peak), rounds once (d1).  With the peak at a0:
+#   r r (d2), 3 r r (d3), S = 1 + 3 r r (d4), norm = fl(sqrt S) (d5), v0 = fl(1/norm) (d6)
+#   and v2 = fl(r / norm) (d7).  S carries the error of 3 r r weighted by w = 3r^2/S <= 3/4,
+#   and the square root halves it, so
+#   v0:   -w (2 d1 + d2 + d3)/2 - d4/2 - d5 + d6               k = 2w + 5/2 <= 4
+#   v2:   (1 - w) d1 - w (d2 + d3)/2 - d4/2 - d5 + d7          k = 7/2
+#   c_ab0 = 2 |v0 v2| (d8), the sum of both and d8:            k = |1 - 2w| + 2w + 6 <= 8
+#   c_ab1 = 0.5 * 2 v2 v2 (d8), twice v2 and d8:               k = 8
+#   tau = 16 |v0 v2 v2 v2| (three products): (3 - 4w) d1 - 2w (d2 + d3) - 2 d4 - 4 d5
+#         + d6 + 3 d7 + 3 roundings                              k = 3 + 13 = 16
+# With the peak at a2, w = r^2/(r^2 + 3) <= 1/4 and each k is smaller: 7/2, 23/8, 7,
+# 27/4 and 14.  gamma(k) - k u covers the second-order terms.
+#: k of each normalized field per n: every sector entry, then the three measures.
+NORMALIZED_ROUNDINGS = (
+    {"sector": 2, "tau_abc": 0, "c_ab0": 0, "c_ab1": 5},
+    {"sector": 2, "tau_abc": 0, "c_ab0": 5, "c_ab1": 0},
+    {"sector": 4, "tau_abc": 16, "c_ab0": 8, "c_ab1": 8},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=normalized_points, lam=couplings)
+@example(point=(5.0, 3.75, 3.721), lam=0.2)  # the paper point
+@example(point=(5.0, 5.000000001, 3.721), lam=0.02)  # A(1;1) 2.6e-13
+@example(point=(1.0, 1.0, 2.0), lam=1.0)  # A(1;1) = 0: the sector stays zero
+def test_normalized_variant_within_rounding_of_exact(point, lam):
+    omega1, omega2, e0 = point
+    assume(omega1 != e0 and abs(omega2 - e0) >= SINGULARITY_GUARD * e0)
+    p = SystemParams(omega1, omega2, e0, lam)
+    amplitudes = entanglement_report(omega1, omega2, e0, lam).amplitudes
+    rows = cli._report_doc(p)["entanglement"]
+    for n, (a, factor, k) in enumerate(zip(amplitudes, TABULATED_C_AB1_FACTOR,
+                                           NORMALIZED_ROUNDINGS)):
+        sector, measures = normalized_sector_exact(a, factor)
+        fields = [(f"v_{m}", v, sector[m], k["sector"]) for m, v in enumerate(_normalized(a))]
+        fields += [(key, rows[n]["normalized_variant"][key], exact, k[key])
+                   for key, exact in measures.items()]
+        for key, got, exact, roundings in fields:
+            exact = Fraction(exact)
+            assert abs(Fraction(got) - exact) <= gamma(roundings) * abs(exact), (
+                n, key, got, float(exact))
 
 
 def run_json(argv) -> str:

@@ -1,8 +1,14 @@
 """The package's export list matches what its library modules define, README's Library
-block runs as shown, and each CLI command loads only the modules it runs."""
+and CLI blocks run as shown, the console script is the module's entry point, and each
+CLI command loads only the modules it runs."""
+import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +16,7 @@ from test_cli import AMPLITUDES_NOT_FINITE
 from test_golden import CASES, GOLDEN, UNDERFLOW, fresh_run
 
 import dle3q
+from dle3q import cli
 
 #: Modules whose public API the package re-exports; cli and serialize are front ends, and
 #: amplitudes holds only the private channel formulas and their constants.
@@ -70,6 +77,58 @@ def test_readme_library_block_runs():
         want.append(match[1])
     assert len(want) == 8
     assert got == want
+
+
+#: A value the CLI prose quotes: "w_1 = 1.47e-5", "tau|2> = 5.62e-8", "C|0>_AB1 = 0.2".
+QUOTED = re.compile(r"(w_\d|tau\|\d>|C\|\d>_AB\d) = (\d+\.(\d+)(e-\d+)?)")
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # README's CLI section alternates prose and fenced blocks of dle3q commands
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    chunks = section.split("\n### ", 1)[0].split("```\n")
+    commands = [shlex.split(line) for block in chunks[1::2]
+                for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["dle3q", "report"], ["dle3q", "report"], ["dle3q", "sweep"], ["dle3q", "validate"]]
+    # --config params.json holds the paper point of the first command
+    flags = commands[0][2:]
+    paper = {flag[2:].replace("-", "_"): float(value)
+             for flag, value in zip(flags[::2], flags[1::2])}
+    (tmp_path / "params.json").write_text(json.dumps(paper))
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv[1:]) == 0, argv
+        outputs.append(out.getvalue())
+    # the prose after the first block quotes its summary, to the digits shown
+    summary = json.loads(outputs[0])["summary"]
+    quoted = {re.sub(r"\|(\d)>", r"_\1", name.lower()): (value, len(digits), exponent)
+              for name, value, digits, exponent in QUOTED.findall(chunks[2])}
+    assert sorted(quoted) == sorted(summary)
+    for key, (value, digits, exponent) in quoted.items():
+        shown = f"{summary[key]:.{digits}e}" if exponent else f"{summary[key]:.{digits}f}"
+        assert float(shown) == float(value), (key, summary[key], value)
+
+
+PYPROJECT = README.parent / "pyproject.toml"
+
+
+def test_console_script_is_the_module_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with PYPROJECT.open("rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["dle3q"]
+    assert entry == "dle3q.cli:main"
+    module_name, _, name = entry.partition(":")
+    module = importlib.import_module(module_name)
+    # python -m dle3q.cli runs the module's last statement, its __main__ guard
+    guard = ast.parse(inspect.getsource(module)).body[-1]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    called = [node.func.id for node in ast.walk(guard) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id != "SystemExit"]
+    assert [getattr(module, f) for f in called] == [getattr(module, name)]
 
 
 def _fresh_process(code: str, *args: str) -> list[str]:

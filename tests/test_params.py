@@ -1,6 +1,7 @@
 import math
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +45,13 @@ class TestSystemParams:
         assert SystemParams.from_flat_dict(flat) == paper_params
         del flat["nmax"]  # an absent nmax keeps the default
         assert SystemParams.from_flat_dict(flat) == paper_params
+
+    def test_numpy_integer_nmax_kept_as_int(self):
+        # the integer rule of the (n, m) labels: a numpy integer is the int it holds
+        p = SystemParams(5.0, 4.5, 3.721, 0.02, nmax=np.int64(40))
+        assert type(p.nmax) is int and p.nmax == 40
+        nmax = p.to_flat_dict()["nmax"]
+        assert type(nmax) is int and nmax == 40
 
     @pytest.mark.parametrize("nmax", [20.7, "20", True])
     def test_flat_dict_rejects_non_integer_nmax(self, paper_params, nmax):

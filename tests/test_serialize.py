@@ -170,6 +170,8 @@ def test_strings_escaped_and_other_scalars_refused():
         json_dumps({"s": 'a"b\\c'})
     with pytest.raises(TypeError, match="unsupported scalar"):
         json_dumps({"x": 1j})
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        json_dumps({"t": (1, 2)})  # documents hold lists, never tuples
 
 
 def test_empty_table():
