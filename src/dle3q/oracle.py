@@ -11,14 +11,24 @@ sector.  The oracle builds H directly in that sector's Dicke basis |n; m>
     V_RWA  (n, m) <-> (n-1, m+1)   lam*sqrt(n)*sqrt((m+1)(3-m))
 
 with transitions past the photon cutoff dropped, as in the product space.
-H0 + V conserves n - m, so it splits into blocks of at most 4 states.
-H0 + V + V_RWA conserves only the parity of n + m, the Z2 symmetry that
-makes the Rabi model tractable (Braak, PRL 107, 100401, 2011), so it splits
-into two halves of 2*(nmax+1) states.  Only the block holding the requested
-label is diagonalized, and every eigendecomposition must pass the Gram and
-reconstruction residual checks.
+Only the block holding the requested label is diagonalized, every
+eigendecomposition must pass the Gram and reconstruction residual checks,
+and a block whose matrix norm overflows is refused with ParameterDomainError
+before it is solved.  Under either Hamiltonian a label needs HEADROOM
+photons below the cutoff: n <= nmax - HEADROOM.
 
-The block is solved on a ladder of photon cutoffs K: FIRST_CUTOFF (or nmax
+H0 + V is solved on an exact block.  It conserves n - m, so the label's
+block is the chain (n - m + j, j), j = 0..3, of at most 4 states and at most
+n - m + 3 photons.  That block is solved once, at the cutoff K = n - m + 3;
+the headroom rule keeps its build at K + 1 <= nmax photons, so no coupling
+is dropped, eigh sees the matrix of the nmax block bit for bit, and the
+result is the same at every nmax.  A lost or ambiguous label is reported
+after that one solve.
+
+H0 + V + V_RWA is solved on a certified ladder.  It conserves only the
+parity of n + m, the Z2 symmetry that makes the Rabi model tractable (Braak,
+PRL 107, 100401, 2011), so it splits into two halves of 2*(nmax+1) states.
+The half is solved on a ladder of photon cutoffs K: FIRST_CUTOFF (or nmax
 if smaller), then 2K, and so on, ending with the full nmax block.  Dressed
 photon amplitudes fall off roughly as (lam/omega)^n/sqrt(n!), so at weak
 coupling the first rung already holds the answer to float64 rounding.  The
@@ -43,12 +53,9 @@ ladder stops at the first rung, nmax included, where
 
 Otherwise the next rung is solved, so a near-crossing or lost label is
 always reported from the full nmax block.  Rungs with fewer than HEADROOM
-photons above the label are skipped, so an H0 + V block (n - m fixed, at
-most 3 photons above the label) never reaches n = K: every rung holds the
-same matrix as the nmax block, the residual is exactly 0, and the result is
-the nmax solve bit for bit.  A rung whose block would exceed
-MAX_BLOCK_STATES states is refused with ParameterDomainError before it is
-allocated, and one whose matrix norm overflows before it is solved.
+photons above the label are skipped, so the label lies inside every rung.
+A rung whose block would exceed MAX_BLOCK_STATES states is refused with
+ParameterDomainError before it is allocated.
 
 Solved rungs go into a store keyed by _symmetric_eig's own arguments, so a
 lookup is valid whatever asks.  compare_with_closed_forms keeps one store per
@@ -92,7 +99,7 @@ import numpy as np
 from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel_values
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SolverDiagnosticsError, TruncationHeadroomError)
-from .params import SystemParams, _channel, guard_detuning
+from .params import SystemParams, _channel, _positive, guard_detuning
 
 #: Minimum photon headroom between a dressed label and the cutoff.
 HEADROOM = 4
@@ -121,9 +128,10 @@ class DressedState:
     vector holds the Dicke-basis coefficients: length 4*(K+1) for the photon
     cutoff K <= nmax it was solved at, row 4*n + m, unit norm, zero outside
     the label's conserved-quantity block, and positive at the label's row.
-    Rows past its end, up to nmax photons, are zero.  The row count thus
-    says where the cutoff ladder stopped: K = vector.size // 4 - 1, the
-    first rung that certified, or nmax if none below it did.
+    Rows past its end, up to nmax photons, are zero.  For H0 + V,
+    K = n - m + 3, the extent of the label's block.  With V_RWA the row
+    count says where the cutoff ladder stopped: K = vector.size // 4 - 1,
+    the first rung that certified, or nmax if none below it did.
     """
 
     eigenvalue: float
@@ -215,10 +223,11 @@ def _symmetric_eig(omega: float, e0: float, lam: float, cutoff: int,
 
 
 def _cutoffs(nmax: int, n: int):
-    """The ladder of photon cutoffs tried for a label with n photons.
+    """The ladder of photon cutoffs tried for a V_RWA label with n photons.
 
     FIRST_CUTOFF (or nmax if smaller), doubling, ending at nmax; rungs
-    without HEADROOM photons above the label are skipped.
+    without HEADROOM photons above the label are skipped, which keeps the
+    label inside every rung.
     """
     cutoff = min(nmax, FIRST_CUTOFF)
     while cutoff < nmax:
@@ -233,18 +242,20 @@ def dressed_state(n: int, m: int, p: SystemParams, omega: float,
     """Symmetric-sector eigenvector dominated by the Dicke state |n; m>.
 
     n photons, m of the three qubits excited; a non-integer label, n < 0 or
-    m outside 0..3 raises ParameterDomainError.  Only the conserved-quantity
-    block holding the label is diagonalized, on the ladder of photon
-    cutoffs described in the module docstring; a rung whose block would
-    exceed MAX_BLOCK_STATES states, or whose matrix norm overflows double
-    precision, raises ParameterDomainError.  The match
+    m outside 0..3 raises ParameterDomainError, and so does an omega that
+    is not a real number (a bool is not), finite and > 0.  Only the
+    conserved-quantity block holding the label is diagonalized: once, for
+    H0 + V, and on the ladder of photon cutoffs with V_RWA, as the module
+    docstring describes; a rung whose block would exceed MAX_BLOCK_STATES
+    states, or whose matrix norm overflows double precision, raises
+    ParameterDomainError.  The match
     maximizes |overlap| with the label's row within the block; it must be
     dominant (> 1/sqrt(2)) and separated from the runner-up (0 in a
     one-state block) by at least MIN_MATCH_MARGIN, otherwise a
     DegeneracyAmbiguityError is raised.  The phase is fixed so the label's
     component is positive.
     """
-    return _dressed(n, m, p, omega, include_rwa, {})
+    return _dressed(n, m, p, _positive("omega", omega), include_rwa, {})
 
 
 def _dressed(n, m, p, omega, include_rwa, rungs: dict) -> DressedState:
@@ -256,7 +267,7 @@ def _dressed(n, m, p, omega, include_rwa, rungs: dict) -> DressedState:
             f"label {label} needs photon headroom: n <= nmax - {HEADROOM} "
             f"= {p.nmax - HEADROOM}")
     block = _block_of(n, m, include_rwa)
-    for cutoff in _cutoffs(p.nmax, n):
+    for cutoff in _cutoffs(p.nmax, n) if include_rwa else (block + 3,):
         states = 2 * (cutoff + 1) if include_rwa else 4
         if states > MAX_BLOCK_STATES:
             raise ParameterDomainError(

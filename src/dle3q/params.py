@@ -7,13 +7,15 @@ and plain-GHz inputs are the natural unit.
 
 _integer is the one integer rule, for nmax and for the (n, m) labels that
 _channel checks: a numpy integer passes as the Python int it holds; a bool,
-a float or a string does not.
+a float or a string does not.  _positive is the one rule for a frequency or
+a coupling, for the four SystemParams fields and dressed_state's omega: an
+int or a float, not a bool, finite and > 0, kept as a float.
 """
 from __future__ import annotations
 
 import functools
-import math
 import operator
+import sys
 from dataclasses import astuple, dataclass
 
 from .errors import ParameterDomainError, SingularityError
@@ -40,6 +42,16 @@ def _integer(value) -> int | None:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def _positive(name: str, value) -> float:
+    """value as a float, checked to be a real number (a bool is not), finite and > 0."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
+    # compared exactly, so an int past the double range fails here, not in float()
+    if not 0.0 < value <= sys.float_info.max:
+        raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)  # an int prints as the float it means
 
 
 def _channel(n: int, m: int) -> tuple[int, int]:
@@ -71,12 +83,7 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("omega1", "omega2", "e0", "lambda_"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value) or value <= 0.0:
-                raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, float(value))  # an int prints as the float it means
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         nmax = _integer(self.nmax)
         if nmax is None:
             raise ParameterDomainError(f"nmax must be an integer, got {self.nmax!r}")

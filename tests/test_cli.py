@@ -332,13 +332,15 @@ class TestValidate:
         _, out2, _ = run(capsys, [*VALIDATE_BASE, "--format", "csv"])
         assert out1 == out2
 
-    def test_huge_nmax_gives_the_certified_rows(self, capsys):
-        # every label certifies at 20 photons, and no vector is sized by nmax
-        code, out, err = run(capsys, [*VALIDATE_BASE, "--rwa", "on",
+    @pytest.mark.parametrize("rwa", ["on", "off"])
+    def test_huge_nmax_gives_the_certified_rows(self, capsys, rwa):
+        # every V_RWA label certifies at 20 photons, every H0+V label is
+        # solved on its own block, and no vector is sized by nmax
+        code, out, err = run(capsys, [*VALIDATE_BASE, "--rwa", rwa,
                                       "--nmax", "10000000000"])
         assert (code, err) == (0, "")
         huge = json.loads(out)
-        small = json.loads(run(capsys, [*VALIDATE_BASE, "--rwa", "on", "--nmax", "20"])[1])
+        small = json.loads(run(capsys, [*VALIDATE_BASE, "--rwa", rwa, "--nmax", "20"])[1])
         assert huge["inputs"]["nmax"] == 10 ** 10
         assert all(row.pop("nmax") == 10 ** 10 for row in huge["rows"])
         assert all(row.pop("nmax") == 20 for row in small["rows"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dle3q import (DegeneracyAmbiguityError, ParameterDomainError,
                    SolverDiagnosticsError, SystemParams, TruncationHeadroomError,
@@ -293,6 +293,29 @@ class TestCutoffLadder:
             "(needs > 0.7071); state has lost its label character\n")
         assert solved_cutoffs[-4:] == [20, 40, 80, 160]
 
+    def test_lost_v_only_label_reported_after_one_solve(self, monkeypatch, capsys):
+        # each H0+V label is solved once, on its own block, whatever nmax is:
+        # the ground block at omega1, then the n - m = 2, 0, -2 blocks at
+        # omega2; (2;2) shares the n - m = 0 block and has lost its label
+        built = _record_calls(monkeypatch, "_block_hamiltonian", lambda args: args[3])
+        for nmax in (160, 10 ** 6):  # the first run also warms the CLI's one-time imports
+            built.clear()
+            tracemalloc.start()
+            try:
+                code = main(["validate", "--omega1-ghz", "5", "--omega2-ghz", "4.5",
+                             "--e0-ghz", "3.721", "--lambda-ghz", "2", "--rwa", "off",
+                             "--nmax", str(nmax)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err == (
+                "solver error: best overlap 0.6851 with |n=2, m=2> is not dominant "
+                "(needs > 0.7071); state has lost its label character\n")
+            assert built == [4, 6, 4, 2]
+        assert peak < 1024 * 1024  # a climb to 10**6 photons peaks near 100 MB
+
     def test_nothing_outlives_a_call(self):
         # the lost label climbs to the 160-photon rung; once the error is
         # handled, no rung of that call is still allocated
@@ -457,6 +480,23 @@ class TestDressedState:
             "solver error: two eigenvectors match |n=2, m=0> equally well "
             "(0.675653 vs 0.675653); near-crossing\n")
 
+    @pytest.mark.parametrize("omega,message", [
+        (-4.5, "omega must be finite and > 0, got -4.5"),
+        (0.0, "omega must be finite and > 0, got 0.0"),
+        (math.nan, "omega must be finite and > 0, got nan"),
+        (math.inf, "omega must be finite and > 0, got inf"),
+        (True, "omega must be a real number, got True"),
+        ("4.5", "omega must be a real number, got '4.5'"),
+    ], ids=["negative", "zero", "nan", "inf", "bool", "str"])
+    def test_invalid_omega_refused(self, omega, message):
+        # the rule SystemParams applies to its frequencies; omega = E0 is
+        # allowed, since the exact solve is defined there
+        p = SystemParams(W1, 4.5, E0, 0.02)
+        with pytest.raises(ParameterDomainError) as refused:
+            dressed_state(1, 1, p, omega)
+        assert str(refused.value) == message
+        assert dressed_state(1, 1, p, E0).overlap_with_label > 1 / math.sqrt(2)
+
     def test_lost_label_character_raises(self):
         # deep ultrastrong coupling: no eigenvector keeps a dominant label
         p = SystemParams(W1, 3.75, E0, 3.0, nmax=16)
@@ -552,15 +592,30 @@ class TestSuddenOverlap:
         assert sudden_overlap(2, 2, p, include_rwa=False) == pytest.approx(
             exact_second_order, rel=1e-3)
 
-    @pytest.mark.parametrize("omega2,lam,nmaxes", [(3.75, 0.2, (8, 12, 16, 20)),
-                                                   (4.5, 1e-300, (6, 7, 8))],
-                             ids=["paper_point", "vanishing_coupling"])
+    @pytest.mark.parametrize("omega2,lam,nmaxes", [
+        (3.75, 0.2, (6, 8, 12, 16, 20, 10 ** 12)),
+        (4.5, 1e-300, (6, 7, 8, 10 ** 12))], ids=["paper_point", "vanishing_coupling"])
     def test_v_only_overlaps_independent_of_nmax(self, omega2, lam, nmaxes):
-        # an H0 + V block holds at most 4 states, all of them inside each of
-        # these cutoffs, so truncation cannot move a single bit
+        # an H0 + V block holds at most 4 states, all of them inside every
+        # cutoff from the headroom floor (nmax 6 for n = 2) up, so truncation
+        # cannot move a single bit
         values = [[sudden_overlap(n, m, SystemParams(W1, omega2, E0, lam, nmax=nmax)).hex()
                    for n, m in DLE_CHANNELS] for nmax in nmaxes]
         assert values == [values[0]] * len(nmaxes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega1=st.floats(4.8, 5.2), omega2=st.floats(4.3, 4.7),
+           e0=st.floats(3.6, 3.8), lam=st.floats(1e-6, 0.5), delta=st.floats(-0.5, 0.5))
+    def test_v_only_overlaps_depend_on_omega_plus_e0(self, omega1, omega2, e0, lam, delta):
+        # the n - m = b block is b*omega + (omega + E0)*diag(m) + lam*T_b, with
+        # T_b fixed by b, so its eigenvectors see only omega + E0 and lam; the
+        # shift moves them by rounding, on vectors of unit norm
+        shifted = (omega1 + delta, omega2 + delta, e0 - delta)
+        assume(e0 not in (omega1, omega2) and shifted[2] not in shifted[:2])
+        p = SystemParams(omega1, omega2, e0, lam)
+        q = SystemParams(*shifted, lam)
+        for n, m in DLE_CHANNELS:
+            assert abs(sudden_overlap(n, m, p) - sudden_overlap(n, m, q)) <= 1e-15
 
 
 class TestCompareTable:

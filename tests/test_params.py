@@ -21,6 +21,8 @@ class TestSystemParams:
     @pytest.mark.parametrize("field,value", [
         ("omega1", 0.0), ("omega1", -1.0), ("omega2", float("nan")),
         ("omega2", float("inf")), ("e0", -3.0), ("lambda_", 0.0),
+        # a JSON config can hold an int past the double range
+        pytest.param("omega1", 10 ** 400, id="omega1-int-past-double-range"),
     ])
     def test_rejects_nonpositive_or_nonfinite(self, field, value):
         kwargs = dict(omega1=5.0, omega2=3.75, e0=3.721, lambda_=0.2)
