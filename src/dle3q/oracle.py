@@ -280,11 +280,10 @@ def _dressed(n, m, p, omega, include_rwa, rungs: dict) -> DressedState:
         w, v, rows, edge = rungs[key]
         target = int(np.searchsorted(rows, 4 * n + m))
         overlaps = np.abs(v[target, :])
-        best = int(np.argmax(overlaps))
+        order = np.argsort(overlaps)[::-1]  # the refusals after the loop read it too
+        best = order[0]
         if _certified(overlaps[best], w, v[:, best], edge):
             break
-    order = np.argsort(overlaps)[::-1]
-    best = order[0]
     runner_up = overlaps[order[1]] if order.size > 1 else 0.0
     if overlaps[best] - runner_up < MIN_MATCH_MARGIN:
         raise DegeneracyAmbiguityError(
@@ -330,15 +329,16 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
 
     One row per (scale, channel in DLE_CHANNELS): closed form and sudden
     overlap evaluated at coupling scale * lambda, with their relative
-    deviation.  The scales must number at least two, be positive, keep
-    lambda * scale finite and > 0, and strictly descend, so that
-    shrink_factors has a factor to gate; otherwise ParameterDomainError.
+    deviation.  The scales must number at least two, keep lambda * scale
+    finite and > 0, and strictly descend, so that shrink_factors has a
+    factor to gate; otherwise ParameterDomainError, which names the scales
+    that break the finite-and-positive rule.  Since SystemParams keeps
+    lambda > 0, that rule is also what refuses a scale <= 0.
     """
     if len(lambda_scales) < 2:
         raise ParameterDomainError("need at least two lambda scales")
-    if any(s <= 0 for s in lambda_scales):
-        raise ParameterDomainError("lambda scales must be positive")
-    # nan and inf scales, and those that under- or overflow lambda * scale
+    # lambda > 0, so this refuses every scale <= 0, nan and inf scales, and
+    # those that under- or overflow lambda * scale
     bad = [s for s in lambda_scales if not 0.0 < p.lambda_ * s < math.inf]
     if bad:
         raise ParameterDomainError(
@@ -370,14 +370,17 @@ GATED_CHANNELS = ((1, 1),)
 def shrink_factors(rows, channel: tuple[int, int]) -> list[float]:
     """Deviation shrink factors between successive lambda scales for one channel.
 
-    A factor of zero marks an undefined deviation (vanishing closed form),
-    which a gate should treat as failing rather than silently passing.
+    A factor of zero marks an undefined deviation: None (a vanishing closed
+    form), nan or inf (a closed form or overlap outside double precision,
+    as under np.errstate(all="ignore")).  A gate should treat it as failing
+    rather than silently passing.  A zero deviation after a finite nonzero
+    one gives inf.
     """
     devs = [r["rel_dev"] for r in rows
             if (r["channel_n"], r["channel_m"]) == channel]
     out = []
     for a, b in zip(devs, devs[1:]):
-        if a is None or b is None:
+        if a is None or b is None or not math.isfinite(a) or not math.isfinite(b):
             out.append(0.0)
         elif b > 0:
             out.append(a / b)

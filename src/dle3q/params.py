@@ -8,12 +8,16 @@ and plain-GHz inputs are the natural unit.
 _integer is the one integer rule, for nmax and for the (n, m) labels that
 _channel checks: a numpy integer passes as the Python int it holds; a bool,
 a float or a string does not.  _positive is the one rule for a frequency or
-a coupling, for the four SystemParams fields and dressed_state's omega: an
-int or a float, not a bool, finite and > 0, kept as a float.
+a coupling, for the four SystemParams fields and dressed_state's omega: a
+real number (a numbers.Real, so an int, a float or a numpy integer or
+floating scalar, but not a bool or np.bool_), finite and > 0, kept as the
+float it holds.  An integer is compared with the double range exactly, and
+anything else as a Python float.
 """
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 import sys
 from dataclasses import astuple, dataclass
@@ -45,11 +49,17 @@ def _integer(value) -> int | None:
 
 
 def _positive(name: str, value) -> float:
-    """value as a float, checked to be a real number (a bool is not), finite and > 0."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """value as a float, checked to be a real number (a bool is not), finite and > 0.
+
+    A real number is a numbers.Real: numpy registers its integer and floating
+    scalars there, and not np.bool_.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
-    # compared exactly, so an int past the double range fails here, not in float()
-    if not 0.0 < value <= sys.float_info.max:
+    # an integer is compared exactly, so one past the double range fails here,
+    # not in float(); anything else as a double, never in its own narrow type
+    number = _integer(value)
+    if not 0.0 < (float(value) if number is None else number) <= sys.float_info.max:
         raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)  # an int prints as the float it means
 

@@ -364,8 +364,8 @@ class TestValidate:
         assert "lambda-scales" in err
 
     @pytest.mark.parametrize("scales,message", [
-        ("1,-1", "lambda scales must be positive"),
-        ("1,0", "lambda scales must be positive"),
+        ("1,-1", "lambda scales must keep lambda * scale finite and > 0, got [-1.0]"),
+        ("1,0", "lambda scales must keep lambda * scale finite and > 0, got [0.0]"),
         ("1", "need at least two lambda scales"),
         ("1,1", "lambda scales must strictly descend, e.g. 1, 0.5, 0.25"),
     ], ids=["1,-1", "1,0", "1", "1,1"])

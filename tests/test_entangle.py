@@ -173,6 +173,19 @@ class TestConditionalConcurrence:
                 cf.sectors.tau_abc[n] / norm2 ** 2, rel=1e-12)
             assert normalized.c_ab1[n] == pytest.approx(cf.sectors.c_ab1[n] / norm2, rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(sectors=st.lists(st.lists(
+        st.one_of(st.just(0.0),
+                  st.builds(math.copysign, st.floats(min_value=1e-320, max_value=1e300),
+                            st.sampled_from([1.0, -1.0]))),
+        min_size=4, max_size=4), min_size=3, max_size=3))
+    def test_normalized_measures_always_finite(self, sectors):
+        # the invariant report rests on: once the amplitudes are finite, every
+        # normalized coefficient lies in [-1, 1], so no normalized measure can overflow
+        normalized = _measures(map(_normalized, sectors))
+        for key in ("tau_abc", "c_ab0", "c_ab1", "c_ab1_formula_path"):
+            assert all(math.isfinite(x) for x in getattr(normalized, key)), key
+
     def test_complementarity_at_paper_point(self, paper_params):
         # the two-photon sector is pair-dominated, not three-way-dominated
         s = evaluate(paper_params).sectors

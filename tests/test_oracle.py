@@ -531,9 +531,11 @@ class TestSuddenOverlap:
         assert all(f >= 3.0 for f in factors)
 
     def test_shrink_factors_mark_undefined_and_exact_deviations(self):
+        # nan and inf are as undefined as None: each fails a gate, never passes it
         rows = [{"channel_n": 1, "channel_m": 1, "rel_dev": dev}
-                for dev in (1e-2, 1e-3, 0.0, None, 1e-4)]
-        assert shrink_factors(rows, (1, 1)) == [10.0, math.inf, 0.0, 0.0]
+                for dev in (1e-2, 1e-3, 0.0, None, 1e-4, math.nan, 1e-5, math.inf, 1e-6)]
+        assert shrink_factors(rows, (1, 1)) == [10.0, math.inf, 0.0, 0.0,
+                                                0.0, 0.0, 0.0, 0.0]
 
     def test_v_only_pair_channels_exactly_zero(self):
         # H0 + V conserves n - m: the (2,0) and (0,2) targets share no block,

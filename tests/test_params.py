@@ -1,11 +1,12 @@
 import math
 from dataclasses import astuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dle3q import ParameterDomainError, SystemParams, validate_params
+from dle3q import ParameterDomainError, SystemParams, dressed_state, validate_params
 
 
 def ratios(p):
@@ -74,6 +75,33 @@ class TestSystemParams:
     def test_rejects_non_real_value(self, value):
         with pytest.raises(ParameterDomainError, match="omega1 must be a real number"):
             SystemParams(value, 3.75, 3.721, 0.2)
+
+
+# numpy's integer and floating scalars are numbers.Real; each is checked as a
+# Python float or int, never against the double range in its own narrow type
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.float32(4.6), np.float16(4.5), np.int64(5)],
+                         ids=["float32", "float16", "int64"])
+def test_numpy_real_scalars_accepted_as_their_float(value):
+    p = SystemParams(value, value, 3.721, 0.02)
+    assert type(p.omega1) is float and p.omega1 == float(value)
+    assert (p.omega2, p.e0, p.lambda_) == (float(value), 3.721, 0.02)
+    state, expected = dressed_state(1, 1, p, value), dressed_state(1, 1, p, float(value))
+    assert state.eigenvalue == expected.eigenvalue
+    assert np.array_equal(state.vector, expected.vector)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.True_, True, "5", Decimal("5")],
+                         ids=["np.bool_", "bool", "str", "Decimal"])
+def test_non_real_scalars_refused(value):
+    with pytest.raises(ParameterDomainError) as refused:
+        SystemParams(value, 3.75, 3.721, 0.2)
+    assert str(refused.value) == f"omega1 must be a real number, got {value!r}"
+    p = SystemParams(5.0, 4.5, 3.721, 0.02)
+    with pytest.raises(ParameterDomainError) as refused:
+        dressed_state(1, 1, p, value)
+    assert str(refused.value) == f"omega must be a real number, got {value!r}"
 
 
 class TestValidateParams:
