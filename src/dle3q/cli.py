@@ -30,8 +30,9 @@ if TYPE_CHECKING:
 SWEEP_GUARD_BAND = 1e-6
 
 #: Most grid points one sweep evaluates. A cold JSON sweep process peaks (VmHWM) at
-#: 47.6 MB at 20 000 points and 117 MB at 100 000: about 0.87 KB per point, 0.90 GB at the
-#: limit (CSV: 40.3 and 81.0 MB). Read from /proc/self/status at exit, stdout to /dev/null,
+#: 47.8 MB at 20 000 points and 116.4 MB at 100 000: about 0.86 KB per point, 0.89 GB at
+#: the limit (CSV: 40.4 and 80.2 MB). Measured at 2912d65 on omega1 5, E0 3.721, lambda
+#: 0.2, omega2 3 to 4.5 GHz: VmHWM from /proc/self/status at exit, stdout to /dev/null,
 #: no bytecode cache; Python 3.11, numpy 2.4, x86-64 Linux.
 MAX_SWEEP_STEPS = 10 ** 6
 

@@ -18,6 +18,15 @@ it is degree-4 homogeneous, so unnormalized sectors scale as |k|^4).  The
 pair concurrence with the third qubit fixed to 0 or 1 is 2|ad - bc| of the
 remaining 2x2 block: C|n>_AB0 = 2|a0 a2 - a1^2|, C|n>_AB1 = 2|a1 a3 - a2^2|.
 
+monogamy_residual needs the concurrence of the mixed pairs rho_AB and rho_AC
+of a pure three-qubit state, and takes it from the rank-2 form of Wootters'
+formula (PRL 80, 2245, 1998).  Each pair is rho = M M^dagger with M its 4x2
+factor, so rank(rho) <= 2.  With S = sy (x) sy (real, S^2 = 1) and the
+symmetric 2x2 T = M^T S M, rho rho_tilde = M M^dagger S M* M^T S = M T* M^T S,
+whose nonzero spectrum is that of T* T = T^dagger T.  Wootters' l1 >= l2 are
+therefore the singular values of T, and C^2 = (l1 - l2)^2 = |T|_F^2 - 2|det T|:
+no eigensolve, so this module calls nothing in numpy.linalg.
+
 Each closed form is written once, in a private helper that runs
 elementwise on Python floats or on numpy arrays: _probabilities (w_m and the
 product gap) and _sector_values (the SectorMeasures fields of one sector).
@@ -189,28 +198,24 @@ def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
                        validate_params(point))
 
 
-def _wootters(rho: np.ndarray) -> list[float]:
-    """Wootters concurrences of a stack rho[k, 4, 4] of Hermitian PSD matrices.
-
-    Standard spin-flip construction: C = max(0, l1 - l2 - l3 - l4) with l_i
-    the decreasing square roots of the eigenvalues of rho * rho_tilde.
-    Computed as the singular values of sqrt(rho)^T (sy x sy) sqrt(rho),
-    which is the same spectrum evaluated without differencing noisy
-    near-zero eigenvalues.  One eigh gives every principal square root
-    (negative eigenvalues clipped to 0) and one svd every spectrum.
-    Returns the k concurrences as Python floats; the input is not checked.
-    """
-    w, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
-    lam = np.linalg.svd(root.swapaxes(1, 2) @ _SPIN_FLIP @ root, compute_uv=False)
-    return [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam.tolist()]
-
-
 #: psi[_PAIR_INDEX] is the (2, 4, 2) stack of factors M with rho = M M^dagger
 #: for the qubit pairs AB and AC: row 2i + j (AB) or 2i + k (AC), column the
 #: traced qubit, entry a[4i + 2j + k].
 _PAIR_INDEX = np.array([[[0, 1], [2, 3], [4, 5], [6, 7]],
                         [[0, 2], [1, 3], [4, 6], [5, 7]]])
+
+
+def _pair_concurrences_squared(psi: np.ndarray) -> list[float]:
+    """[C_AB^2, C_AC^2] of a complex array psi of eight coefficients a[4i + 2j + k].
+
+    The rank-2 form on the stacked factors psi[_PAIR_INDEX], clipped at 0.
+    The input is not checked.
+    """
+    m = psi[_PAIR_INDEX]
+    t = m.swapaxes(1, 2) @ _SPIN_FLIP @ m
+    det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
+    c2 = (t.real * t.real + t.imag * t.imag).sum(axis=(1, 2)) - 2.0 * abs(det)
+    return [max(0.0, x) for x in c2.tolist()]
 
 
 def monogamy_residual(a) -> float:
@@ -219,11 +224,14 @@ def monogamy_residual(a) -> float:
     tau_A(BC) = 4 det(rho_A).  Zero (to numerical precision) for normalized
     pure states; that equality is the Coffman monogamy relation, stated here
     only where it is a theorem, hence the normalization check.  Both pair
-    concurrences come from one stacked Wootters solve; rho_A and the
-    three-tangle are evaluated on Python scalars.  Raises ValueError unless
-    a holds eight coefficients, and NormalizationError (a ValueError) unless
-    their norm is 1 within 1e-10, which a NaN, an infinite entry or an
-    overflowing norm fails.
+    concurrences come from the rank-2 form of the module docstring (Wootters,
+    PRL 80, 2245, 1998): rho_AB and rho_AC have rank at most 2, so Wootters'
+    l1, l2 are the singular values of the 2x2 T = M^T (sy x sy) M of each
+    pair's factor M, and C^2 = |T|_F^2 - 2|det T|.  Both T come from one
+    stack of small matmuls; rho_A and the three-tangle are evaluated on
+    Python scalars.  Raises ValueError unless a holds eight coefficients,
+    and NormalizationError (a ValueError) unless their norm is 1 within
+    1e-10, which a NaN, an infinite entry or an overflowing norm fails.
     """
     psi = np.asarray(a, dtype=complex).reshape(8)
     c = psi.tolist()
@@ -235,6 +243,5 @@ def monogamy_residual(a) -> float:
     if not abs(norm - 1.0) <= 1e-10:
         raise NormalizationError(f"state norm {norm} differs from 1 beyond 1e-10")
     tau_a_bc = 4.0 * (r00 * r11 - (r01.real * r01.real + r01.imag * r01.imag))
-    m = psi[_PAIR_INDEX]
-    c_ab, c_ac = _wootters(m @ m.conj().swapaxes(1, 2))
-    return tau_a_bc - c_ab ** 2 - c_ac ** 2 - residual_tangle_general(c)
+    c2_ab, c2_ac = _pair_concurrences_squared(psi)
+    return tau_a_bc - c2_ab - c2_ac - residual_tangle_general(c)

@@ -31,8 +31,10 @@ package scales a sector of Python floats, and the tests compare it with
 this evaluation over arrays.  normalized_sector_exact is the exact route:
 the same sector and its measures in 80-digit decimal arithmetic.
 
-reduced_pair is the one-matrix route to a two-qubit reduced density matrix,
-against which the package's stacked monogamy solve is checked.
+reduced_pair and wootters are the general mixed-state route to a pair
+concurrence: the reduced density matrix, one matrix at a time, and Wootters'
+spin-flip solve of any two-qubit density matrix.  The package's rank-2 pair
+concurrences of the monogamy check are compared against them.
 """
 from __future__ import annotations
 
@@ -419,3 +421,25 @@ def reduced_pair(psi: np.ndarray, keep: tuple[int, int]) -> np.ndarray:
     other = next(ax for ax in range(3) if ax not in keep)
     m = np.transpose(t, (*keep, other)).reshape(4, 2)
     return m @ m.conj().T
+
+
+#: sigma_y (x) sigma_y, the two-qubit spin-flip kernel (real in the computational basis).
+SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
+
+
+def wootters(rho: np.ndarray) -> list[float]:
+    """Wootters concurrences of a stack rho[k, 4, 4] of Hermitian PSD matrices.
+
+    Standard spin-flip construction (Wootters, PRL 80, 2245, 1998):
+    C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
+    eigenvalues of rho * rho_tilde.  Computed as the singular values of
+    sqrt(rho)^T (sy x sy) sqrt(rho), which is the same spectrum evaluated
+    without differencing noisy near-zero eigenvalues.  One eigh gives every
+    principal square root (negative eigenvalues clipped to 0) and one svd
+    every spectrum.  Returns the k concurrences as Python floats; the input
+    is not checked.
+    """
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    lam = np.linalg.svd(root.swapaxes(1, 2) @ SPIN_FLIP @ root, compute_uv=False)
+    return [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam.tolist()]

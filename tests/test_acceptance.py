@@ -134,13 +134,19 @@ def test_criterion_6_oracle_equivalence(capsys):
                f"factors = {['%.1f' % f for f in factors]}, validate run = {elapsed:.2f} s")
 
 
-def test_criterion_7_monogamy_property_suite():
+def worst_criterion_7_residual() -> float:
+    """Largest |monogamy_residual| over criterion 7's 1000 seeded Haar-random states."""
     rng = np.random.default_rng(20260809)
     worst = 0.0
     for _ in range(1000):
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
         worst = max(worst, abs(monogamy_residual(psi)))
+    return worst
+
+
+def test_criterion_7_monogamy_property_suite():
+    worst = worst_criterion_7_residual()
     ghz = np.zeros(8)
     ghz[[0, 7]] = 1 / math.sqrt(2)
     w_state = np.zeros(8)
@@ -150,6 +156,13 @@ def test_criterion_7_monogamy_property_suite():
     ok = worst <= 1e-10 and abs(tau_ghz - 1.0) <= 1e-12 and abs(tau_w) <= 1e-12
     report("7 (1000 random monogamy residuals <= 1e-10, GHZ -> 1, W -> 0)", ok,
            f"worst residual = {worst:.2e}, tau_GHZ = {tau_ghz:.15f}, tau_W = {tau_w:.1e}")
+
+
+def test_criterion_7_residuals_at_rounding():
+    # the rank-2 pair concurrences difference no eigenvalues, so the CKW identity
+    # holds to a few units of rounding, far inside criterion 7's 1e-10
+    worst = worst_criterion_7_residual()
+    assert worst <= 1e-14, f"worst residual = {worst:.2e}"
 
 
 def test_criterion_8_tunability():

@@ -9,12 +9,23 @@ from dle3q import (NormalizationError, SingularityError, SystemParams,
                    compare_with_closed_forms, concurrence_pair_general,
                    entanglement_report, guard_detuning, monogamy_residual,
                    residual_tangle_general)
-from dle3q.entangle import _EXCITATIONS, _PAIR_INDEX, _measures, _normalized, _wootters
-from reference import reduced_pair
+from dle3q.entangle import (_EXCITATIONS, _PAIR_INDEX, _measures, _normalized,
+                            _pair_concurrences_squared)
+from reference import reduced_pair, wootters
 
 GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2)
 W_STATE = np.zeros(8)
 W_STATE[[4, 2, 1]] = 1 / math.sqrt(3)  # |100>, |010>, |001>
+
+#: |000> and |00> + |11> on one qubit pair with the third qubit in |0>: the
+#: indices a[4i + 2j + k] of the basis states each equal superposition holds.
+PRODUCT_AND_BISEPARABLE = {"000": (0,), "phiAB-0C": (0, 6), "phiAC-0B": (0, 5), "0A-phiBC": (0, 3)}
+
+
+def equal_superposition(ones):
+    psi = np.zeros(8)
+    psi[list(ones)] = 1 / math.sqrt(len(ones))
+    return psi
 
 
 def random_pure_states(count, seed):
@@ -202,7 +213,7 @@ class TestConditionalStateMapping:
 
 
 class TestMixedConcurrence:
-    """The Wootters solve _wootters, one matrix at a time (rho[None]) or stacked."""
+    """The reference Wootters solve, and the package's rank-2 pair concurrences against it."""
 
     def test_reduces_to_pure_formula(self):
         rng = np.random.default_rng(3)
@@ -211,10 +222,10 @@ class TestMixedConcurrence:
             phi /= np.linalg.norm(phi)
             rho = np.outer(phi, phi.conj())
             expected = concurrence_pair_general(*phi)
-            assert _wootters(rho[None])[0] == pytest.approx(expected, abs=1e-12)
+            assert wootters(rho[None])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_maximally_mixed_is_separable(self):
-        assert _wootters(np.eye(4)[None] / 4) == [0.0]
+        assert wootters(np.eye(4)[None] / 4) == [0.0]
 
     def test_werner_state_threshold(self):
         # Werner states are entangled iff p > 1/3, with C = (3p - 1)/2
@@ -223,15 +234,21 @@ class TestMixedConcurrence:
         proj = np.outer(bell, bell)
         for prob, expected in ((0.2, 0.0), (0.5, 0.25), (1.0, 1.0)):
             rho = prob * proj + (1 - prob) * np.eye(4) / 4
-            assert _wootters(rho[None])[0] == pytest.approx(expected, abs=1e-12)
+            assert wootters(rho[None])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_stacked_pairs_match_single_matrix_path(self):
         for psi in random_pure_states(200, seed=20261019):
+            m = psi[_PAIR_INDEX]  # the factors monogamy_residual reads
             pairs = [reduced_pair(psi, (0, 1)), reduced_pair(psi, (0, 2))]
-            m = psi[_PAIR_INDEX]  # the stack monogamy_residual solves
             np.testing.assert_allclose(m @ m.conj().swapaxes(1, 2), pairs, rtol=0, atol=1e-15)
-            for value, rho in zip(_wootters(np.stack(pairs)), pairs):
-                assert value == pytest.approx(_wootters(rho[None])[0], abs=1e-12)
+
+    def test_rank_two_form_matches_reference(self):
+        named = [GHZ, W_STATE, *map(equal_superposition, PRODUCT_AND_BISEPARABLE.values())]
+        for psi in [*random_pure_states(200, seed=20261019), *named]:
+            psi = psi.astype(complex)
+            pairs = np.stack([reduced_pair(psi, (0, 1)), reduced_pair(psi, (0, 2))])
+            expected = [c * c for c in wootters(pairs)]
+            assert _pair_concurrences_squared(psi) == pytest.approx(expected, rel=0, abs=1e-13)
 
 
 class TestMonogamy:
@@ -241,16 +258,22 @@ class TestMonogamy:
     def test_w_state_pieces(self):
         # tau_A(BC) = 8/9, C_AB^2 = C_AC^2 = 4/9, tau_ABC = 0
         assert monogamy_residual(W_STATE) == pytest.approx(0.0, abs=1e-12)
-        assert _wootters(reduced_pair(W_STATE, (0, 1))[None])[0] ** 2 == \
-            pytest.approx(4 / 9, abs=1e-12)
+        assert _pair_concurrences_squared(W_STATE.astype(complex)) == \
+            pytest.approx([4 / 9, 4 / 9], abs=1e-12)
 
-    @pytest.mark.parametrize("ones", [(0,), (0, 6), (0, 5), (0, 3)],
-                             ids=["000", "phiAB-0C", "phiAC-0B", "0A-phiBC"])
+    @pytest.mark.parametrize("ones", PRODUCT_AND_BISEPARABLE.values(),
+                             ids=PRODUCT_AND_BISEPARABLE.keys())
     def test_product_and_biseparable_states(self, ones):
-        # rank-1 reduced pairs: their zero eigenvalues pass the clip before the square root
-        psi = np.zeros(8)
-        psi[list(ones)] = 1 / math.sqrt(len(ones))
-        assert abs(monogamy_residual(psi)) <= 1e-12
+        # each T is 0 or has one entry of modulus 1: C^2 = 1 for a Bell pair, 0 for the rest
+        assert abs(monogamy_residual(equal_superposition(ones))) <= 1e-12
+
+    def test_no_linear_algebra_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monogamy_residual called a numpy.linalg solver")
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert monogamy_residual(W_STATE) == pytest.approx(0.0, abs=1e-12)
 
     def test_thousand_random_states(self):
         for psi in random_pure_states(1000, seed=20260809):
