@@ -40,7 +40,6 @@ to unit norm by _normalized, which takes Python floats only.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -65,11 +64,8 @@ _SPIN_FLIP = np.array([
 #: formula value; the report prints both and flags the mismatch.
 TABULATED_C_AB1_FACTOR = (1.0, 1.0, 0.5)
 
-#: Qubit bits (i, j, k) of coefficient a[4i + 2j + k].
-_BITS = tuple(itertools.product((0, 1), repeat=3))
-
 #: Number of excited qubits of each coefficient a[4i + 2j + k].
-_EXCITATIONS = tuple(sum(bits) for bits in _BITS)
+_EXCITATIONS = (0, 1, 1, 2, 1, 2, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -108,16 +104,14 @@ class ClosedForms:
 
 
 def _d_invariants(a):
-    c = dict(zip(_BITS, a))
+    a000, a001, a010, a011, a100, a101, a110, a111 = a
     # d1 and d2 are sums over the products of complementary coefficients
     # a_ijk a_(1-i)(1-j)(1-k): d1 of their squares, d2 of their distinct pairs.
-    p000, p001, p010, p100 = (c[0, 0, 0] * c[1, 1, 1], c[0, 0, 1] * c[1, 1, 0],
-                              c[0, 1, 0] * c[1, 0, 1], c[1, 0, 0] * c[0, 1, 1])
+    p000, p001, p010, p100 = a000 * a111, a001 * a110, a010 * a101, a100 * a011
     d1 = p000 * p000 + p001 * p001 + p010 * p010 + p100 * p100
     d2 = (p000 * p100 + p000 * p010 + p000 * p001
           + p100 * p010 + p100 * p001 + p010 * p001)
-    d3 = (c[0, 0, 0] * c[1, 1, 0] * c[1, 0, 1] * c[0, 1, 1]
-          + c[1, 1, 1] * c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0])
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
     return d1, d2, d3
 
 

@@ -35,6 +35,9 @@ reduced_pair and wootters are the general mixed-state route to a pair
 concurrence: the reduced density matrix, one matrix at a time, and Wootters'
 spin-flip solve of any two-qubit density matrix.  The package's rank-2 pair
 concurrences of the monogamy check are compared against them.
+
+evaluate is not a reference: it is the package's closed-form table at a
+SystemParams point, which the tests compare against the routes above.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from dle3q.amplitudes import CLASS_MULTIPLICITY
+from dle3q.entangle import entanglement_report
 from dle3q.errors import (ParameterDomainError, SolverDiagnosticsError,
                           TruncationHeadroomError)
 from dle3q.oracle import _eigh_checked
@@ -57,6 +61,11 @@ QUBIT_BITS = (4, 2, 1)
 
 #: Representative target configuration for each qubit excitation count.
 CLASS_REPRESENTATIVE = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 1, 0), 3: (1, 1, 1)}
+
+
+def evaluate(p: SystemParams):
+    """The package's closed-form table at the point p."""
+    return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
 
 
 @dataclass(frozen=True, order=True)

@@ -22,14 +22,10 @@ from dle3q import (SystemParams, compare_with_closed_forms, dressed_state,
                    entanglement_report, monogamy_residual, residual_tangle_general,
                    shrink_factors)
 from dle3q.cli import main
-from reference import (BasisState, diagonalize_total, dicke, energy_second_order, index_of,
-                       padded, perturbed_state, symmetric_class_shift, symmetrizer)
+from reference import (BasisState, diagonalize_total, dicke, energy_second_order, evaluate,
+                       index_of, padded, perturbed_state, symmetric_class_shift, symmetrizer)
 
 PAPER = SystemParams(omega1=5.0, omega2=3.75, e0=3.721, lambda_=0.2)
-
-
-def evaluate(p: SystemParams):
-    return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -8,11 +8,7 @@ from dle3q.amplitudes import DLE_CHANNELS
 from dle3q.cli import _report_doc
 from dle3q.params import _channel
 from dle3q.oracle import sudden_overlap
-from reference import BasisState, amplitude_via_overlap, energy_second_order
-
-
-def evaluate(p: SystemParams):
-    return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+from reference import BasisState, amplitude_via_overlap, energy_second_order, evaluate
 
 
 def closed_form(n, m, p: SystemParams) -> float:

@@ -11,7 +11,7 @@ from dle3q import (NormalizationError, SingularityError, SystemParams,
                    residual_tangle_general)
 from dle3q.entangle import (_EXCITATIONS, _PAIR_INDEX, _measures, _normalized,
                             _pair_concurrences_squared)
-from reference import reduced_pair, wootters
+from reference import evaluate, reduced_pair, wootters
 
 GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2)
 W_STATE = np.zeros(8)
@@ -68,10 +68,6 @@ class TestResidualTangleGeneral:
             for perm in itertools.permutations(range(3)):
                 permuted = np.transpose(tensor, perm).reshape(8)
                 assert residual_tangle_general(permuted) == pytest.approx(base, rel=1e-10, abs=1e-12)
-
-
-def evaluate(p: SystemParams):
-    return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
 
 
 def closed_form_sector(n, p):

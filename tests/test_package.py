@@ -113,6 +113,21 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
         assert float(shown) == float(value), (key, summary[key], value)
 
 
+#: A memory figure, "47.8 MB", or the first of a pair, "40.4" in "40.4 and 80.2 MB".
+MEMORY_FIGURE = re.compile(r"\d+(?:\.\d+)?(?=(?: and \d+(?:\.\d+)?)? [KMG]B\b)")
+
+
+def test_readme_quotes_the_sweep_memory_figures():
+    # the comment above cli.MAX_SWEEP_STEPS is the one record of the measured figures
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    comment = re.search(r"((?:#:.*\n)+)MAX_SWEEP_STEPS =", source)[1].replace("#:", "")
+    measured = MEMORY_FIGURE.findall(" ".join(comment.split()))
+    assert len(measured) == 6, measured
+    paragraph = next(chunk for chunk in README.read_text(encoding="utf-8").split("\n\n")
+                     if "MAX_SWEEP_STEPS" in chunk)
+    assert MEMORY_FIGURE.findall(" ".join(paragraph.split())) == measured
+
+
 PYPROJECT = README.parent / "pyproject.toml"
 
 
