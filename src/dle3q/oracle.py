@@ -363,7 +363,7 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     return rows
 
 
-#: Channels whose closed form the exact overlap converges to, per Hamiltonian.
+#: Channels whose closed form the exact overlap converges to, with or without V_RWA.
 GATED_CHANNELS = ((1, 1),)
 
 

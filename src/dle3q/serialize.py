@@ -18,7 +18,9 @@ list of parts and join it once.
 ``_float_codes`` fills the float slots as a vectorized ``%.9e``; the few
 values it cannot round with certainty go through ``format_float``, so the
 bytes are those of the per-value emitter that ``report`` and ``validate``
-use. The checks ``format_float`` makes per value are made per column:
+use. Those are the near-ties, subnormals and extremes, and also the rows
+whose exponent estimate misses or whose rounding carries into an eleventh
+digit. The checks ``format_float`` makes per value are made per column:
 ``np.isfinite`` must hold over every float column (the same ``ValueError``
 otherwise), and -0.0 prints as 0.0.
 """
@@ -86,19 +88,14 @@ def _float_codes(x: np.ndarray) -> np.ndarray:
     """
     a = np.abs(x)
     nonzero = a > 0
-    # log10 can miss by one next to a power of ten, so on the rows where
-    # s = a * 10**(9 - e) falls outside [1e9, 1e10) e moves by one and s is
-    # recomputed; a zero keeps e = 0.
+    # e estimates the decimal exponent and d the ten mantissa digits; a zero
+    # keeps e = 0. log10 can miss by one next to a power of ten, and rint can
+    # round s up to 1e10: the rows where s = a * 10**k or d falls outside
+    # [1e9, 1e10) are sent to format_float below.
     e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
-    s = a * np.power(10.0, np.clip(9 - e, -300, 300))
-    off = np.flatnonzero((s >= 1e10) | ((s < 1e9) & nonzero))
-    e[off] += np.where(s[off] >= 1e10, 1, -1)
-    s[off] = a[off] * np.power(10.0, np.clip(9 - e[off], -300, 300))
     k = 9 - e
+    s = a * np.power(10.0, np.clip(k, -300, 300))
     d = np.rint(s)
-    carry = d >= 1e10
-    d[carry] = 1e9
-    e += carry
     out = np.empty((x.size, _FLOAT_WIDTH), dtype=np.uint8)
     out[:, 0] = np.where(x < 0, ord("-"), 0)
     out[:, 2] = ord(".")
@@ -113,10 +110,13 @@ def _float_codes(x: np.ndarray) -> np.ndarray:
     out[:, 14] *= exponent >= 100
     # np.power is within 1 ulp of 10**k for |k| <= 300 and the product rounds
     # once, so s is within a few ulp of the exact a * 10**k: under 1e-5 for
-    # s < 1e10. Where frac(s) is more than 1e-4 from 1/2, rint therefore
-    # rounds as %.9e rounds the exact value. Near-ties, and values whose
-    # 10**k is out of range (subnormals, extremes), go through format_float.
-    slow = np.flatnonzero((np.abs(s - np.floor(s) - 0.5) <= 1e-4) | (np.abs(k) > 300))
+    # s < 1e10. Where s is in [1e9, 1e10), d < 1e10 and frac(s) is more than
+    # 1e-4 from 1/2, rint therefore rounds as %.9e rounds the exact value,
+    # with e its exponent. Every other row goes through format_float: a missed
+    # exponent, a d rounded up to 1e10, a near-tie, or a 10**k out of range
+    # (subnormals, extremes).
+    slow = np.flatnonzero((np.abs(s - np.floor(s) - 0.5) <= 1e-4) | (np.abs(k) > 300)
+                          | ((s < 1e9) & nonzero) | (d >= 1e10))
     text = [format_float(v) for v in x[slow].tolist()]
     out[slow] = np.array(text, dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(-1, _FLOAT_WIDTH)
     return out
@@ -183,26 +183,18 @@ def _emit(node, depth: int, parts: list[str]) -> None:
     child_pad = _INDENT * (depth + 1)
     if isinstance(node, Table):
         parts.extend(_json_table(node, pad, child_pad, _INDENT * (depth + 2)))
-    elif isinstance(node, dict):
-        if not node:
-            parts.append("{}")
+    elif isinstance(node, (dict, list)):
+        if isinstance(node, dict):
+            brackets, items = "{}", [(f'"{key}": ', value) for key, value in node.items()]
+        else:
+            brackets, items = "[]", [("", value) for value in node]
+        if not items:
+            parts.append(brackets)
             return
-        parts.append("{\n")
-        for i, (key, value) in enumerate(node.items()):
-            parts.append(f'{child_pad}"{key}": ')
+        for i, (prefix, value) in enumerate(items):
+            parts.append((",\n" if i else brackets[0] + "\n") + child_pad + prefix)
             _emit(value, depth + 1, parts)
-            parts.append(",\n" if i < len(node) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(node, list):
-        if not node:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, value in enumerate(node):
-            parts.append(child_pad)
-            _emit(value, depth + 1, parts)
-            parts.append(",\n" if i < len(node) - 1 else "\n")
-        parts.append(pad + "]")
+        parts.append(f"\n{pad}{brackets[1]}")
     else:
         parts.append(_format_value(node))
 

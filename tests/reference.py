@@ -36,12 +36,15 @@ concurrence: the reduced density matrix, one matrix at a time, and Wootters'
 spin-flip solve of any two-qubit density matrix.  The package's rank-2 pair
 concurrences of the monogamy check are compared against them.
 
-evaluate is not a reference: it is the package's closed-form table at a
-SystemParams point, which the tests compare against the routes above.
+evaluate and run_cli are not references: evaluate is the package's
+closed-form table at a SystemParams point, which the tests compare against
+the routes above, and run_cli runs the package's CLI in the test process.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,6 +53,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from dle3q.amplitudes import CLASS_MULTIPLICITY
+from dle3q.cli import main
 from dle3q.entangle import entanglement_report
 from dle3q.errors import (ParameterDomainError, SolverDiagnosticsError,
                           TruncationHeadroomError)
@@ -66,6 +70,14 @@ CLASS_REPRESENTATIVE = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 1, 0), 3: (1, 1, 1)}
 def evaluate(p: SystemParams):
     """The package's closed-form table at the point p."""
     return entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of the dle3q CLI run in this process on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @dataclass(frozen=True, order=True)

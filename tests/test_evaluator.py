@@ -6,8 +6,6 @@ amplitude table through residual_tangle_general and concurrence_pair_general.
 entanglement_report runs on numpy arrays for sweep and on the Python floats
 of report's one point; both must give the same bits.
 """
-import contextlib
-import io
 import json
 import math
 from dataclasses import is_dataclass
@@ -17,10 +15,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from reference import normalized_sector, normalized_sector_exact
+from reference import normalized_sector, normalized_sector_exact, run_cli
 
 from dle3q import SystemParams, cli, entanglement_report
-from dle3q.cli import main
 from dle3q.entangle import TABULATED_C_AB1_FACTOR, _measures, _normalized
 from dle3q.params import SINGULARITY_GUARD
 from dle3q.serialize import json_dumps
@@ -263,13 +260,6 @@ def test_normalized_variant_within_rounding_of_exact(point, lam):
                 n, key, got, float(exact))
 
 
-def run_json(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
-    return out.getvalue()
-
-
 @settings(max_examples=25, deadline=None)
 @given(omega1=frequencies, e0=frequencies, lam=couplings,
        lo=frequencies, width=st.floats(min_value=0.01, max_value=5.0),
@@ -279,12 +269,15 @@ def test_sweep_rows_equal_report_at_their_omega2(omega1, e0, lam, lo, width, ste
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     assume(omega1 != e0 and all(far_from_resonance(w, e0) for w in grid))
     flags = ["--omega1-ghz", repr(omega1), "--e0-ghz", repr(e0), "--lambda-ghz", repr(lam)]
-    rows = json.loads(run_json(["sweep", *flags, "--omega2-min-ghz", repr(lo),
-                                        "--omega2-max-ghz", repr(hi),
-                                        "--steps", str(steps)]))["rows"]
+    code, out, _ = run_cli(["sweep", *flags, "--omega2-min-ghz", repr(lo),
+                            "--omega2-max-ghz", repr(hi), "--steps", str(steps)])
+    assert code == 0
+    rows = json.loads(out)["rows"]
     assert len(rows) == steps
     for omega2, row in zip(grid, rows):
-        doc = json.loads(run_json(["report", *flags, "--omega2-ghz", repr(omega2)]))
+        code, out, _ = run_cli(["report", *flags, "--omega2-ghz", repr(omega2)])
+        assert code == 0
+        doc = json.loads(out)
         expected = {**doc["summary"], "w_0": doc["probabilities"]["w_0"],
                     "perturbative_ok": doc["validity"]["perturbative_ok"]}
         assert {k: v for k, v in row.items() if k != "omega2"} == expected
@@ -294,8 +287,9 @@ def test_sweep_rows_equal_report_at_their_omega2(omega1, e0, lam, lo, width, ste
 @given(omega1=frequencies, omega2=frequencies, e0=frequencies, lam=couplings)
 def test_report_json_round_trips(omega1, omega2, e0, lam):
     assume(omega1 != e0 and far_from_resonance(omega2, e0))
-    out = run_json(["report", "--omega1-ghz", repr(omega1), "--omega2-ghz", repr(omega2),
+    code, out, _ = run_cli(["report", "--omega1-ghz", repr(omega1), "--omega2-ghz", repr(omega2),
                             "--e0-ghz", repr(e0), "--lambda-ghz", repr(lam)])
+    assert code == 0
     assert json_dumps(json.loads(out)) == out
 
 

@@ -209,7 +209,7 @@ class TestCutoffLadder:
         largest = 0.0
         for block in ((0, 1) if rwa else (3, 4, 5, 6)):
             w, v, rows, edge = _symmetric_eig(4.5, E0, lam, cutoff, rwa, block, 160)
-            assert edge.base is None  # the cache keeps no larger matrix alive
+            assert edge.base is None  # the rung store keeps no larger matrix alive
             big_rows, h = _block_hamiltonian(4.5, E0, lam, cutoff + 3, rwa, block)
             padded = np.zeros((big_rows.size, w.size))
             padded[np.searchsorted(big_rows, rows)] = v

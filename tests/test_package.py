@@ -2,16 +2,15 @@
 and CLI blocks run as shown, the console script is the module's entry point, and each
 CLI command loads only the modules it runs."""
 import ast
-import contextlib
 import importlib
 import inspect
-import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from reference import run_cli
 from test_cli import AMPLITUDES_NOT_FINITE
 from test_golden import CASES, GOLDEN, UNDERFLOW, fresh_run
 
@@ -99,10 +98,9 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outputs = []
     for argv in commands:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            assert cli.main(argv[1:]) == 0, argv
-        outputs.append(out.getvalue())
+        code, out, _ = run_cli(argv[1:])
+        assert code == 0, argv
+        outputs.append(out)
     # the prose after the first block quotes its summary, to the digits shown
     summary = json.loads(outputs[0])["summary"]
     quoted = {re.sub(r"\|(\d)>", r"_\1", name.lower()): (value, len(digits), exponent)
@@ -171,7 +169,7 @@ def test_bare_import_loads_no_layer():
     assert (cli.split(), cli_libs) == (sorted(FRONT), "False True")
 
 #: Each command's argv, the dle3q modules a fresh process holds after it, and whether
-#: json is loaded. None loads dle3q.hilbert: the product basis is a test-side reference.
+#: json is loaded. None loads a product basis: that is the test-side reference.py.
 COMMAND_LOADS = {
     "help": (["--help"], FRONT, False),
     "report": (["report", *POINT, "--omega2-ghz", "4.5"], EVALUATOR, False),

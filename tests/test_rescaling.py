@@ -6,16 +6,14 @@ measure, validity ratio and oracle value bit-identical, and a point that
 raises must raise the same error at every scale.  At the CLI, report and
 sweep must print the same bytes outside the rescaled inputs.
 """
-import contextlib
-import io
 import re
 from dataclasses import astuple
 
 from hypothesis import given, settings, strategies as st
+from reference import run_cli
 
 from dle3q import (SystemParams, compare_with_closed_forms, entanglement_report,
                    validate_params)
-from dle3q.cli import main
 from dle3q.params import JSON_KEYS
 
 SCALES = (2.0, 0.5, 1024.0, 2.0 ** -10)
@@ -43,13 +41,6 @@ def test_power_of_two_rescaling_changes_no_bit(omega1, omega2, e0, lam, include_
         assert _outputs(k * omega1, k * omega2, k * e0, k * lam, include_rwa) == want, k
 
 
-def _stdout(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 def _without_inputs(text: str, fmt: str) -> str:
     """CLI stdout without its parameter inputs and sweep's omega2 column."""
     if fmt == "json":
@@ -68,10 +59,10 @@ def test_cli_rescaling_changes_no_byte_outside_inputs(omega1, omega2, e0, lam, w
     def outputs(k):
         point = ["--omega1-ghz", repr(k * omega1), "--e0-ghz", repr(k * e0),
                  "--lambda-ghz", repr(k * lam), "--format", fmt]
-        report = _stdout(["report", *point, "--omega2-ghz", repr(k * omega2)])
-        sweep = _stdout(["sweep", *point, "--omega2-min-ghz", repr(k * omega2),
+        report = run_cli(["report", *point, "--omega2-ghz", repr(k * omega2)])
+        sweep = run_cli(["sweep", *point, "--omega2-min-ghz", repr(k * omega2),
                          "--omega2-max-ghz", repr(k * (omega2 + width)), "--steps", "5"])
-        return [(code, _without_inputs(text, fmt)) for code, text in (report, sweep)]
+        return [(code, _without_inputs(text, fmt)) for code, text, _ in (report, sweep)]
 
     want = outputs(1.0)
     for k in SCALES:

@@ -108,7 +108,8 @@ def test_edge_floats_match_format_float():
 
 def test_powers_of_ten_match_format_float():
     # log10 of a power of ten or of its float neighbours can miss the decimal
-    # exponent by one; those rows take the corrected power of ten
+    # exponent by one, and 10**k - ulp can round up to the next power; those
+    # rows go through format_float
     powers = [float(f"1e{k}") for k in range(-300, 301)]
     values = [y for x in powers for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
     expected = "x\n" + "".join(f"{format_float(v)}\n" for v in values)
@@ -163,6 +164,9 @@ def test_format_float_refuses_non_finite():
 def test_empty_dict():
     assert json_dumps({}) == "{}\n"
     assert json_dumps({"a": {}}) == '{\n  "a": {}\n}\n'
+    assert json_dumps([]) == "[]\n"
+    assert json_dumps({"a": []}) == '{\n  "a": []\n}\n'
+    assert json_dumps([{}]) == "[\n  {}\n]\n"
 
 
 def test_strings_escaped_and_other_scalars_refused():
