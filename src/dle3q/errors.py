@@ -23,3 +23,8 @@ class DegeneracyAmbiguityError(RuntimeError):
 
 class SolverDiagnosticsError(RuntimeError):
     """The eigensolver failed or its output violates its accuracy contract."""
+
+
+def _not_finite(name: str) -> ParameterDomainError:
+    return ParameterDomainError(
+        f"{name} is not finite at these parameters (outside double-precision range)")

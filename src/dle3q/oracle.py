@@ -98,7 +98,7 @@ import numpy as np
 
 from .amplitudes import CLASS_MULTIPLICITY, DLE_CHANNELS, _channel_values
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
-                     SolverDiagnosticsError, TruncationHeadroomError)
+                     SolverDiagnosticsError, TruncationHeadroomError, _not_finite)
 from .params import SystemParams, _channel, _positive, guard_detuning
 
 #: Minimum photon headroom between a dressed label and the cutoff.
@@ -121,7 +121,7 @@ TRUNCATION_FLOOR = 1e-15
 MAX_BLOCK_STATES = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DressedState:
     """Eigenstate continuously connected to an unperturbed Dicke label (n, m).
 
@@ -333,7 +333,9 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     finite and > 0, and strictly descend, so that shrink_factors has a
     factor to gate; otherwise ParameterDomainError, which names the scales
     that break the finite-and-positive rule.  Since SystemParams keeps
-    lambda > 0, that rule is also what refuses a scale <= 0.
+    lambda > 0, that rule is also what refuses a scale <= 0.  The first row
+    whose closed form or rel_dev is not finite raises ParameterDomainError
+    once its states are solved, so the table holds no inf or nan.
     """
     if len(lambda_scales) < 2:
         raise ParameterDomainError("need at least two lambda scales")
@@ -351,11 +353,17 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
         rungs = {}  # one store per scale: a larger one would keep every scale's rungs alive
         ground = _dressed(0, 0, p_s, p_s.omega1, include_rwa, rungs)
         guard_detuning(p_s.omega2, p_s.e0)
-        point = np.array(astuple(p_s)[:4])  # numpy scalars: a zero divisor gives inf or nan
-        for (n, m), closed in zip(DLE_CHANNELS, map(float, _channel_values(*point))):
+        with np.errstate(all="ignore"):  # numpy scalars: a zero divisor gives inf or nan
+            closed_forms = list(map(float, _channel_values(*np.array(astuple(p_s)[:4]))))
+        for (n, m), closed in zip(DLE_CHANNELS, closed_forms):
             orac = _overlap(ground, _dressed(n, m, p_s, p_s.omega2, include_rwa, rungs), m)
             # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)
             rel = abs(orac - closed) / abs(closed) if closed != 0.0 else None
+            # an oracle overlap is a dot product of two checked unit eigenvectors
+            for key, value in (("closed_form", closed), ("rel_dev", rel)):
+                if value is not None and not math.isfinite(value):
+                    raise _not_finite(f"{key} of channel ({n}, {m}) (include_rwa={include_rwa}) "
+                                      f"at lambda scale {scale}")
             rows.append({
                 "channel_n": n, "channel_m": m,
                 "closed_form": closed, "oracle": orac, "rel_dev": rel,
@@ -371,8 +379,8 @@ def shrink_factors(rows, channel: tuple[int, int]) -> list[float]:
     """Deviation shrink factors between successive lambda scales for one channel.
 
     A factor of zero marks an undefined deviation: None (a vanishing closed
-    form), nan or inf (a closed form or overlap outside double precision,
-    as under np.errstate(all="ignore")).  A gate should treat it as failing
+    form), or nan or inf, which compare_with_closed_forms refuses, so only
+    rows a caller builds hold them.  A gate should treat it as failing
     rather than silently passing.  A zero deviation after a finite nonzero
     one gives inf.
     """

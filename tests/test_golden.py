@@ -9,7 +9,14 @@ where OPENBLAS_CORETYPE can be seen to choose the kernel, under two older
 ones (KERNELS). The report cases run under the build's kernel only, because
 tests/test_package.py::test_report_calls_no_numpy shows that their
 processes call no numpy function, so no kernel can change their bytes.
-The mixed-state tests run again under the two older kernels.
+The mixed-state tests run again under the two older kernels. The refused
+cases (REFUSED) are underflow points that exit 2 with no stdout; the validate
+ones run under all three kernels, since validate solves before it refuses.
+
+work.json holds what each case and refusal costs, counted in this process:
+numpy.linalg.eigh calls, the rows of the matrices they solve, and the values
+that go through serialize.format_float. A change that solves or formats more
+or less than before fails test_work_matches_golden even when its bytes stay.
 
 The report and sweep files were captured before the oracle moved to the
 Dicke-basis block solve and must never change. The two skip-path sweeps (one
@@ -34,8 +41,10 @@ A(1;1) stopped subtracting 1/(omega1 + E0) from 1/(omega2 + E0): the H0+V
 To regenerate one after a deliberate output change, run its argv from CASES
 at the repo root, e.g.
 ``PYTHONPATH=src python -m dle3q.cli report --omega1-ghz 5 ... > tests/golden/report_paper.json``,
-and check the diff line by line.
+and check the diff line by line. After a deliberate change of work, edit the
+counts in work.json that the test's failure message shows.
 """
+import json
 import os
 import platform
 import subprocess
@@ -44,7 +53,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import run_cli
 from test_cli import AMPLITUDES_NOT_FINITE
+
+from dle3q import serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -99,8 +111,22 @@ STDERR = {
 UNDERFLOW = ["report", "--omega1-ghz", "1e-200", "--omega2-ghz", "2e-200",
              "--e0-ghz", "1.5e-200", "--lambda-ghz", "0.2"]
 
-#: UNDERFLOW in each format, refused: exit 2, no stdout, one stderr line.
-REFUSED = {f"report_underflow.{fmt}": [*UNDERFLOW, "--format", fmt] for fmt in ("json", "csv")}
+#: A validate point whose lambda^2 and detuning products underflow: A(2;0), A(0;2)
+#: and A(2;2) are 0/0, refused after the ground and (2, 0) solves of the first scale.
+VALIDATE_UNDERFLOW = ["validate", "--omega1-ghz", "5e-170", "--omega2-ghz", "4.5e-170",
+                      "--e0-ghz", "3.721e-170", "--lambda-ghz", "2e-172"]
+
+CLOSED_FORM_NOT_FINITE = ("error: closed_form of channel (2, 0) (include_rwa=False) at "
+                          "lambda scale 1.0 is not finite at these parameters "
+                          "(outside double-precision range)\n")
+
+#: Each underflow point in each format, refused, as (argv, stderr): exit 2, no stdout,
+#: one stderr line.
+REFUSED = {f"{name}.{fmt}": ([*argv, "--format", fmt], stderr)
+           for name, argv, stderr in (
+               ("report_underflow", UNDERFLOW, AMPLITUDES_NOT_FINITE),
+               ("validate_underflow", VALIDATE_UNDERFLOW, CLOSED_FORM_NOT_FINITE))
+           for fmt in ("json", "csv")}
 
 #: OPENBLAS_CORETYPE of each cold run; None leaves the choice to the OpenBLAS build.
 #: The report cases run under None only: tests/test_package.py::test_report_calls_no_numpy
@@ -108,7 +134,8 @@ REFUSED = {f"report_underflow.{fmt}": [*UNDERFLOW, "--format", fmt] for fmt in (
 KERNELS = (None, "Prescott", "Nehalem")
 
 #: The report cases, run under the build's kernel only (see KERNELS).
-REPORT = ("report_paper.json", "report_paper.csv", *REFUSED)
+REPORT = ("report_paper.json", "report_paper.csv", "report_underflow.json",
+          "report_underflow.csv")
 
 #: The mixed-state tests (the monogamy residual, criterion 7 and its rounding bound,
 #: and TestMixedConcurrence's reference Wootters solve with the package's rank-2 pair
@@ -178,7 +205,7 @@ def test_stdout_matches_golden(kernel, name):
     if name in CASES:
         argv, code, out, err = CASES[name], 0, (GOLDEN / name).read_bytes(), STDERR.get(name, "")
     else:
-        argv, code, out, err = REFUSED[name], 2, b"", AMPLITUDES_NOT_FINITE
+        (argv, err), code, out = REFUSED[name], 2, b""
     result = fresh_run("-W", "error::RuntimeWarning", "-m", "dle3q.cli", *argv, kernel=kernel)
     stderr = result.stderr.decode()
     if (result.returncode, stderr) != (code, err):
@@ -186,6 +213,32 @@ def test_stdout_matches_golden(kernel, name):
                     f"stderr:\n{stderr}want:\n{err}", pytrace=False)
     if result.stdout != out:
         pytest.fail(f"{name}: {first_difference(result.stdout, out)}", pytrace=False)
+
+
+def test_work_matches_golden(monkeypatch):
+    # each case in this process, counting the eigensolves, the rows they solve and the
+    # values that take the exact formatter; work.json holds the counts per case
+    eigh, format_float = np.linalg.eigh, serialize.format_float
+    work = {}
+
+    def counted_eigh(h):
+        work["eigh_calls"] += 1
+        work["eigh_rows"] += h.shape[0]
+        return eigh(h)
+
+    def counted_format_float(x):
+        work["format_float_calls"] += 1
+        return format_float(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(serialize, "format_float", counted_format_float)
+    measured = {}
+    for name, argv in [*CASES.items(), *((name, argv) for name, (argv, _) in REFUSED.items())]:
+        work.update(eigh_calls=0, eigh_rows=0, format_float_calls=0)
+        code, _, _ = run_cli(argv)
+        assert code == (0 if name in CASES else 2), name
+        measured[name] = dict(work)
+    assert measured == json.loads((GOLDEN / "work.json").read_text())
 
 
 @pytest.mark.parametrize("kernel", [_on_kernel(kernel, id=kernel) for kernel in KERNELS[1:]])

@@ -19,6 +19,7 @@ from dle3q.oracle import _block_hamiltonian, _symmetric_eig, shrink_factors
 from reference import (CLASS_REPRESENTATIVE, BasisState, build_basis, diagonalize_total,
                        dicke, energy_unperturbed, hamiltonian_total, index_of, padded,
                        state_at, symmetrizer)
+from test_golden import CLOSED_FORM_NOT_FINITE
 
 W1, E0 = 5.0, 3.721
 
@@ -497,6 +498,14 @@ class TestDressedState:
         assert str(refused.value) == message
         assert dressed_state(1, 1, p, E0).overlap_with_label > 1 / math.sqrt(2)
 
+    def test_compared_and_hashed_by_identity(self):
+        # the vector is an array, so equal fields cannot decide equality
+        p = SystemParams(W1, 4.5, E0, 0.02)
+        a, b = dressed_state(1, 1, p, 4.5), dressed_state(1, 1, p, 4.5)
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
+
     def test_lost_label_character_raises(self):
         # deep ultrastrong coupling: no eigenvector keeps a dominant label
         p = SystemParams(W1, 3.75, E0, 3.0, nmax=16)
@@ -633,6 +642,16 @@ class TestCompareTable:
     def test_rejects_scales_that_cannot_gate(self, paper_params, scales):
         with pytest.raises(ParameterDomainError):
             compare_with_closed_forms(paper_params, scales)
+
+    def test_non_finite_closed_form_refused_as_validate_refuses(self):
+        # test_golden's VALIDATE_UNDERFLOW point: lambda^2 and the detuning products
+        # underflow, so A(2;0), A(0;2), A(2;2) are 0/0; validate prints this refusal
+        p = SystemParams(5e-170, 4.5e-170, 3.721e-170, 2e-172)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError) as refused:
+                compare_with_closed_forms(p, [1.0, 0.5, 0.25])
+        assert f"error: {refused.value}\n" == CLOSED_FORM_NOT_FINITE
 
     def test_one_solve_per_distinct_rung(self, solved_rungs):
         # per scale, H0+V solves the ground block at omega1 and the n - m = 2,
