@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DegeneracyAmbiguityError, ParameterDomainError,
                      SingularityError, SolverDiagnosticsError,
                      TruncationHeadroomError, _not_finite)
-from .params import JSON_KEYS, SystemParams, guard_detuning
+from .params import JSON_KEYS, SystemParams, _positive, guard_detuning
 
 # Each command imports the layers it runs where it first uses them, so --help
 # loads none of them and validate never loads entangle; these are for annotations.
@@ -49,7 +49,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _collect_params(args, need_omega2: bool = True) -> SystemParams:
+def _collect_params(args, required=JSON_KEYS[:4]) -> SystemParams:
+    """SystemParams from --config and the flags, refusing any key of required left unset."""
     flat: dict = {}
     if args.config:
         import json
@@ -64,14 +65,11 @@ def _collect_params(args, need_omega2: bool = True) -> SystemParams:
         flat.update(config)
     flat.update((key, getattr(args, key)) for key in JSON_KEYS
                 if getattr(args, key) is not None)
-    missing = [_flag(key) for key in JSON_KEYS[:4]
-               if key not in flat and (need_omega2 or key != "omega2_ghz")]
-    if not need_omega2:  # a sweep needs its grid bounds instead
-        missing += [_flag(key) for key in ("omega2_min_ghz", "omega2_max_ghz")
-                    if getattr(args, key) is None]
+    missing = [_flag(key) for key in required
+               if (key not in flat if key in JSON_KEYS else getattr(args, key) is None)]
     if missing:
         raise ParameterDomainError(f"missing required parameter flag(s): {' '.join(missing)}")
-    if not need_omega2:
+    if "omega2_ghz" not in required:
         # omega2 comes from the sweep grid; a fixed value is replaced, not checked.
         flat["omega2_ghz"] = flat["omega1_ghz"]
     return SystemParams.from_flat_dict(flat)
@@ -202,6 +200,11 @@ def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
     """A sweep's stdout and its monotone flags.
 
     The evaluator's arrays are freed when this returns, before the text is written out.
+    Folded into cmd_sweep, they stayed alive through the write, and a cold sweep's VmHWM
+    rose from 78.4 to 93.1 MB (100 000 points, CSV) and from 46.5 to 52.6 MB (20 000
+    points, JSON): medians of 3 processes running cli.main, stdout to /dev/null, no
+    bytecode, VmHWM read at exit, at omega1 5, E0 3.721, lambda 0.2 and omega2 from 3
+    to 4.5 GHz; Python 3.11, numpy 2.4, x86-64 Linux.
     """
     from .serialize import csv_lines, json_dumps
 
@@ -214,12 +217,13 @@ def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
 
 
 def cmd_sweep(args) -> int:
-    p_base = _collect_params(args, need_omega2=False)
-    lo, hi, steps = args.omega2_min_ghz, args.omega2_max_ghz, args.steps
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParameterDomainError(f"omega2_min and omega2_max must be finite, got {lo}, {hi}")
-    if not (0.0 < lo < hi):
-        raise ParameterDomainError(f"need 0 < omega2_min < omega2_max, got {lo}, {hi}")
+    p_base = _collect_params(args, ("omega1_ghz", "e0_ghz", "lambda_ghz",
+                                    "omega2_min_ghz", "omega2_max_ghz"))
+    lo = _positive("omega2_min", args.omega2_min_ghz)
+    hi = _positive("omega2_max", args.omega2_max_ghz)
+    steps = args.steps
+    if not lo < hi:
+        raise ParameterDomainError(f"need omega2_min < omega2_max, got {lo}, {hi}")
     if steps < 2:
         raise ParameterDomainError(f"steps must be >= 2, got {steps}")
     if steps > MAX_SWEEP_STEPS:

@@ -329,22 +329,30 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
 
     One row per (scale, channel in DLE_CHANNELS): closed form and sudden
     overlap evaluated at coupling scale * lambda, with their relative
-    deviation.  The scales must number at least two, keep lambda * scale
-    finite and > 0, and strictly descend, so that shrink_factors has a
-    factor to gate; otherwise ParameterDomainError, which names the scales
-    that break the finite-and-positive rule.  Since SystemParams keeps
-    lambda > 0, that rule is also what refuses a scale <= 0.  The first row
+    deviation.  The scales must number at least two and strictly descend,
+    so that shrink_factors has a factor to gate, and each must be a real
+    number by SystemParams' rule (not a bool; an integer past the double
+    range is not finite) that keeps lambda * scale finite and > 0; otherwise
+    ParameterDomainError, which names the scales that break the last rule.
+    Since SystemParams keeps lambda > 0, that rule is also what refuses a
+    scale <= 0.  Rows hold each scale as the float it means.  The first row
     whose closed form or rel_dev is not finite raises ParameterDomainError
     once its states are solved, so the table holds no inf or nan.
     """
     if len(lambda_scales) < 2:
         raise ParameterDomainError("need at least two lambda scales")
-    # lambda > 0, so this refuses every scale <= 0, nan and inf scales, and
-    # those that under- or overflow lambda * scale
-    bad = [s for s in lambda_scales if not 0.0 < p.lambda_ * s < math.inf]
+
+    def usable(s) -> bool:
+        try:  # _positive's rule, then lambda * scale must neither under- nor overflow
+            return 0.0 < p.lambda_ * _positive("lambda scale", s) < math.inf
+        except ParameterDomainError:
+            return False
+
+    bad = [s for s in lambda_scales if not usable(s)]
     if bad:
         raise ParameterDomainError(
             f"lambda scales must keep lambda * scale finite and > 0, got {bad}")
+    lambda_scales = [float(s) for s in lambda_scales]
     if not all(a > b for a, b in zip(lambda_scales, lambda_scales[1:])):
         raise ParameterDomainError("lambda scales must strictly descend, e.g. 1, 0.5, 0.25")
     rows = []
@@ -382,10 +390,16 @@ def shrink_factors(rows, channel: tuple[int, int]) -> list[float]:
     form), or nan or inf, which compare_with_closed_forms refuses, so only
     rows a caller builds hold them.  A gate should treat it as failing
     rather than silently passing.  A zero deviation after a finite nonzero
-    one gives inf.
+    one gives inf.  channel is read as dressed_state reads (n, m), so [1, 1]
+    and numpy integers name (1, 1); fewer than two matching rows raise
+    ParameterDomainError, since a gate would then have no factor to fail.
     """
+    channel = _channel(*channel)
     devs = [r["rel_dev"] for r in rows
             if (r["channel_n"], r["channel_m"]) == channel]
+    if len(devs) < 2:
+        raise ParameterDomainError(f"need at least two rows of channel {channel}, "
+                                   f"got {len(devs)}")
     out = []
     for a, b in zip(devs, devs[1:]):
         if a is None or b is None or not math.isfinite(a) or not math.isfinite(b):

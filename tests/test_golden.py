@@ -14,9 +14,14 @@ cases (REFUSED) are underflow points that exit 2 with no stdout; the validate
 ones run under all three kernels, since validate solves before it refuses.
 
 work.json holds what each case and refusal costs, counted in this process:
-numpy.linalg.eigh calls, the rows of the matrices they solve, and the values
-that go through serialize.format_float. A change that solves or formats more
-or less than before fails test_work_matches_golden even when its bytes stay.
+numpy.linalg.eigh calls, the rows of the matrices they solve and the sum of
+those row counts cubed (eigh's cost), the values that go through
+serialize.format_float, the closed-form evaluations (amplitudes._channel_values
+calls, as oracle and entangle bind it) and the points they cover, and the
+dressed-state matches (oracle._dressed calls). validate --rwa both evaluates
+its closed-form points once per Hamiltonian. A change that solves, evaluates,
+matches or formats more or less than before fails test_work_matches_golden
+even when its bytes stay.
 
 The report and sweep files were captured before the oracle moved to the
 Dicke-basis block solve and must never change. The two skip-path sweeps (one
@@ -56,7 +61,7 @@ import pytest
 from reference import run_cli
 from test_cli import AMPLITUDES_NOT_FINITE
 
-from dle3q import serialize
+from dle3q import amplitudes, entangle, oracle, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -216,25 +221,41 @@ def test_stdout_matches_golden(kernel, name):
 
 
 def test_work_matches_golden(monkeypatch):
-    # each case in this process, counting the eigensolves, the rows they solve and the
-    # values that take the exact formatter; work.json holds the counts per case
+    # each case in this process, counting the eigensolves and their size, the closed-form
+    # evaluations and their points, the dressed-state matches and the values that take
+    # the exact formatter; work.json holds the counts per case
     eigh, format_float = np.linalg.eigh, serialize.format_float
+    channel_values, dressed = amplitudes._channel_values, oracle._dressed
     work = {}
 
     def counted_eigh(h):
         work["eigh_calls"] += 1
         work["eigh_rows"] += h.shape[0]
+        work["eigh_cubes"] += h.shape[0] ** 3
         return eigh(h)
 
     def counted_format_float(x):
         work["format_float_calls"] += 1
         return format_float(x)
 
+    def counted_channel_values(*point):
+        work["closed_form_calls"] += 1
+        work["closed_form_rows"] += np.broadcast(*point).size
+        return channel_values(*point)
+
+    def counted_dressed(*args):
+        work["dressed_matches"] += 1
+        return dressed(*args)
+
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(serialize, "format_float", counted_format_float)
+    for module in (oracle, entangle):
+        monkeypatch.setattr(module, "_channel_values", counted_channel_values)
+    monkeypatch.setattr(oracle, "_dressed", counted_dressed)
     measured = {}
     for name, argv in [*CASES.items(), *((name, argv) for name, (argv, _) in REFUSED.items())]:
-        work.update(eigh_calls=0, eigh_rows=0, format_float_calls=0)
+        work.update(eigh_calls=0, eigh_rows=0, eigh_cubes=0, format_float_calls=0,
+                    closed_form_calls=0, closed_form_rows=0, dressed_matches=0)
         code, _, _ = run_cli(argv)
         assert code == (0 if name in CASES else 2), name
         measured[name] = dict(work)

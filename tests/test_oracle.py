@@ -546,6 +546,16 @@ class TestSuddenOverlap:
         assert shrink_factors(rows, (1, 1)) == [10.0, math.inf, 0.0, 0.0,
                                                 0.0, 0.0, 0.0, 0.0]
 
+    def test_shrink_factors_read_the_channel_as_dressed_state_does(self):
+        # a list or numpy integers name the channel; a channel with fewer than two
+        # rows has no factor, which a gate would pass vacuously, so it is refused
+        rows = [{"channel_n": 1, "channel_m": 1, "rel_dev": dev} for dev in (1e-2, 1e-3)]
+        assert shrink_factors(rows, [1, 1]) == [10.0]
+        assert shrink_factors(rows, (np.int64(1), np.int8(1))) == [10.0]
+        for channel, rows_of_channel in (((3, 3), rows), ((1, 1), rows[:1])):
+            with pytest.raises(ParameterDomainError, match="need at least two rows"):
+                shrink_factors(rows_of_channel, channel)
+
     def test_v_only_pair_channels_exactly_zero(self):
         # H0 + V conserves n - m: the (2,0) and (0,2) targets share no block,
         # hence no basis state, with the dressed ground state
@@ -642,6 +652,17 @@ class TestCompareTable:
     def test_rejects_scales_that_cannot_gate(self, paper_params, scales):
         with pytest.raises(ParameterDomainError):
             compare_with_closed_forms(paper_params, scales)
+
+    @pytest.mark.parametrize("scales,bad", [([True, 0.5], "[True]"), (["1", 0.5], "['1']"),
+                                            ([10 ** 400, 1.0], f"[{10 ** 400}]")],
+                             ids=["bool", "str", "int-past-double"])
+    def test_scales_read_by_the_real_number_rule(self, paper_params, scales, bad):
+        # SystemParams' rule for a frequency: a bool and a string are not real
+        # numbers, and an integer past the double range is not finite
+        with pytest.raises(ParameterDomainError) as refused:
+            compare_with_closed_forms(paper_params, scales)
+        assert str(refused.value) == (
+            f"lambda scales must keep lambda * scale finite and > 0, got {bad}")
 
     def test_non_finite_closed_form_refused_as_validate_refuses(self):
         # test_golden's VALIDATE_UNDERFLOW point: lambda^2 and the detuning products
