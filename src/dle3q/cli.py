@@ -1,7 +1,8 @@
 """Command-line front end: report, sweep and validate subcommands.
 
 stdout carries data (JSON or CSV), stderr carries diagnostics.  Exit codes:
-0 success, 1 validation-gate failure, 2 parameter or solver errors.
+0 success, 1 validation-gate failure, 2 parameter or solver errors, or an
+OSError such as a write to a closed pipe.
 """
 from __future__ import annotations
 
@@ -29,11 +30,8 @@ if TYPE_CHECKING:
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
 SWEEP_GUARD_BAND = 1e-6
 
-#: Most grid points one sweep evaluates. A cold JSON sweep process peaks (VmHWM) at
-#: 47.8 MB at 20 000 points and 116.4 MB at 100 000: about 0.86 KB per point, 0.89 GB at
-#: the limit (CSV: 40.4 and 80.2 MB). Measured at 2912d65 on omega1 5, E0 3.721, lambda
-#: 0.2, omega2 3 to 4.5 GHz: VmHWM from /proc/self/status at exit, stdout to /dev/null,
-#: no bytecode cache; Python 3.11, numpy 2.4, x86-64 Linux.
+#: Most grid points one sweep evaluates: a cap on its run time. Its text is written in
+#: parts, so its memory grows only with the evaluated columns.
 MAX_SWEEP_STEPS = 10 ** 6
 
 def _flag(key: str) -> str:
@@ -195,28 +193,9 @@ def _sweep_table(p_base: SystemParams, omega2: np.ndarray) -> tuple[Table, dict]
     return Table({key: _finite(key, value) for key, value in columns.items()}), flags
 
 
-def _sweep_text(fmt: str, p_base: SystemParams, omega2: np.ndarray,
-                skipped: int) -> tuple[str, dict]:
-    """A sweep's stdout and its monotone flags.
-
-    The evaluator's arrays are freed when this returns, before the text is written out.
-    Folded into cmd_sweep, they stayed alive through the write, and a cold sweep's VmHWM
-    rose from 78.4 to 93.1 MB (100 000 points, CSV) and from 46.5 to 52.6 MB (20 000
-    points, JSON): medians of 3 processes running cli.main, stdout to /dev/null, no
-    bytecode, VmHWM read at exit, at omega1 5, E0 3.721, lambda 0.2 and omega2 from 3
-    to 4.5 GHz; Python 3.11, numpy 2.4, x86-64 Linux.
-    """
-    from .serialize import csv_lines, json_dumps
-
-    table, flags = _sweep_table(p_base, omega2)
-    if fmt == "csv":
-        return csv_lines(list(table.columns), table), flags
-    doc = {"inputs": p_base.to_flat_dict(), "rows": table, "skipped": skipped, **flags}
-    del doc["inputs"]["omega2_ghz"]  # swept, not a fixed input
-    return json_dumps(doc), flags
-
-
 def cmd_sweep(args) -> int:
+    from .serialize import _csv_parts, _json_parts
+
     p_base = _collect_params(args, ("omega1_ghz", "e0_ghz", "lambda_ghz",
                                     "omega2_min_ghz", "omega2_max_ghz"))
     lo = _positive("omega2_min", args.omega2_min_ghz)
@@ -233,8 +212,13 @@ def cmd_sweep(args) -> int:
         grid = lo + (hi - lo) * np.arange(steps) / (steps - 1)
         omega2 = grid[~(abs(grid - p_base.e0) < SWEEP_GUARD_BAND * p_base.e0)]
         skipped = steps - omega2.size
-        text, flags = _sweep_text(args.format, p_base, omega2, skipped)
-    sys.stdout.write(text)
+        table, flags = _sweep_table(p_base, omega2)
+        doc = {"inputs": p_base.to_flat_dict(), "rows": table, "skipped": skipped, **flags}
+        del doc["inputs"]["omega2_ghz"]  # swept, not a fixed input
+        # _sweep_table has checked every value finite, so a refusal leaves stdout empty;
+        # the table's text is written in parts as it is formatted, never held whole
+        sys.stdout.writelines(_csv_parts(list(table.columns), table) if args.format == "csv"
+                              else _json_parts(doc))
     if args.format == "csv":
         print(f"skipped: {skipped}", file=sys.stderr)
         for key, value in flags.items():

@@ -391,10 +391,15 @@ def shrink_factors(rows, channel: tuple[int, int]) -> list[float]:
     rows a caller builds hold them.  A gate should treat it as failing
     rather than silently passing.  A zero deviation after a finite nonzero
     one gives inf.  channel is read as dressed_state reads (n, m), so [1, 1]
-    and numpy integers name (1, 1); fewer than two matching rows raise
-    ParameterDomainError, since a gate would then have no factor to fail.
+    and numpy integers name (1, 1); a channel that is not a pair, or fewer
+    than two matching rows, raise ParameterDomainError, since a gate would
+    then have no factor to fail.
     """
-    channel = _channel(*channel)
+    try:
+        n, m = channel
+    except (TypeError, ValueError):
+        raise ParameterDomainError(f"a channel is a pair (n, m), got {channel!r}") from None
+    channel = _channel(n, m)
     devs = [r["rel_dev"] for r in rows
             if (r["channel_n"], r["channel_m"]) == channel]
     if len(devs) < 2:

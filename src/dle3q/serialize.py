@@ -4,25 +4,29 @@ Floats are always printed in scientific notation with 10 significant digits
 (``format_float``) so that identical inputs produce byte-identical output
 across runs.
 
+Both formats are produced as a sequence of text parts: ``json_dumps`` and
+``csv_lines`` join them, and ``sweep`` writes them out as they come, so a
+table's text is never held whole.
+
 A ``Table`` of equal-length numpy columns (float or bool) is emitted without
 building a Python object per row or per value. ``json_dumps`` accepts it
 anywhere in a document and writes it as the list of row objects the generic
-emitter would write at that depth; ``csv_lines`` accepts it as its rows. The
-whole table is built as one ``uint8`` matrix with one row per table row: the
-literal pieces between values (the JSON field prefixes, the CSV commas and
-newline) fill fixed columns, and each value fills a fixed-width slot of ASCII
-codes. The matrix is a view of one ``bytearray``; unused slot bytes are NUL,
-and one ``bytearray.replace`` on it drops them, which leaves the UTF-8 text
-to decode once. ``json_dumps`` and ``csv_lines`` collect their text as a
-list of parts and join it once.
+emitter would write at that depth; ``csv_lines`` accepts it as its rows. A
+table is formatted ``TABLE_CHUNK_ROWS`` rows at a time, each chunk as one
+``uint8`` matrix with one row per table row: the literal pieces between
+values (the JSON row separator and field prefixes, the CSV commas and
+newline) fill fixed columns, and each value fills a fixed-width slot of
+ASCII codes. The matrix is a view of one ``bytearray``; unused slot bytes
+are NUL, and one ``bytearray.replace`` on it drops them, which leaves the
+UTF-8 text of one part to decode.
 ``_float_codes`` fills the float slots as a vectorized ``%.9e``; the few
 values it cannot round with certainty go through ``format_float``, so the
 bytes are those of the per-value emitter that ``report`` and ``validate``
 use. Those are the near-ties, subnormals and extremes, and also the rows
 whose exponent estimate misses or whose rounding carries into an eleventh
-digit. The checks ``format_float`` makes per value are made per column:
-``np.isfinite`` must hold over every float column (the same ``ValueError``
-otherwise), and -0.0 prints as 0.0.
+digit. The checks ``format_float`` makes per value are made per column
+chunk: ``np.isfinite`` must hold over every float column (the same
+``ValueError`` otherwise), and -0.0 prints as 0.0.
 """
 from __future__ import annotations
 
@@ -136,75 +140,96 @@ def _cell_codes(values: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported column dtype {values.dtype}")
 
 
-def _table_text(columns, pieces: list[str]) -> bytearray:
-    """Every row as pieces[0], cell 0, pieces[1], ..., cell k-1, pieces[k], in UTF-8.
+#: Rows of a Table formatted into one part of its text.
+TABLE_CHUNK_ROWS = 4096
 
-    The rows are one uint8 matrix over a bytearray: every row starts as a
-    copy of one template row that holds the pieces and a NUL slot per cell,
-    and each column's codes then fill its slots. Dropping every NUL from the
-    bytearray leaves the text.
+
+def _table_parts(columns, pieces: list[str]):
+    """Every row as pieces[0], cell 0, pieces[1], ..., cell k-1, pieces[k], in parts.
+
+    Each part holds the text of TABLE_CHUNK_ROWS rows, fewer in the last. Its
+    rows are one uint8 matrix over a bytearray: every row starts as a copy of
+    one template row that holds the pieces and a NUL slot per cell, and each
+    column's codes then fill its slots. Dropping every NUL from the bytearray
+    leaves the text.
     """
     if any("\0" in piece for piece in pieces):
         raise ValueError("table column names must not contain NUL")
-    cells = [_cell_codes(np.asarray(values)) for values in columns]
-    template, slots = bytearray(pieces[0].encode()), []
-    for cell, piece in zip(cells, pieces[1:]):
-        slots.append(slice(len(template), len(template) + cell.shape[1]))
-        template += bytes(cell.shape[1]) + piece.encode()
-    text = bytearray(len(cells[0]) * len(template))
-    matrix = np.frombuffer(text, dtype=np.uint8).reshape(len(cells[0]), len(template))
-    matrix[:] = np.frombuffer(template, dtype=np.uint8)
-    for cell, slot in zip(cells, slots):
-        matrix[:, slot] = cell
-    del cells  # freed before the NUL-free copy is allocated
-    return text.replace(b"\0", b"")
+    # an empty table still has its column types checked, as one empty part
+    for start in range(0, len(columns[0]) or 1, TABLE_CHUNK_ROWS):
+        cells = [_cell_codes(np.asarray(values)[start:start + TABLE_CHUNK_ROWS])
+                 for values in columns]
+        template, slots = bytearray(pieces[0].encode()), []
+        for cell, piece in zip(cells, pieces[1:]):
+            slots.append(slice(len(template), len(template) + cell.shape[1]))
+            template += bytes(cell.shape[1]) + piece.encode()
+        text = bytearray(len(cells[0]) * len(template))
+        matrix = np.frombuffer(text, dtype=np.uint8).reshape(len(cells[0]), len(template))
+        matrix[:] = np.frombuffer(template, dtype=np.uint8)
+        for cell, slot in zip(cells, slots):
+            matrix[:, slot] = cell
+        yield text.replace(b"\0", b"").decode()
 
 
-def _json_table(table: Table, pad: str, child_pad: str, field_pad: str) -> list[str]:
+def _json_table(table: Table, pad: str, child_pad: str, field_pad: str):
     """The parts of a Table's JSON text at one nesting depth."""
     first, *rest = table.columns
-    pieces = ([f'{child_pad}{{\n{field_pad}"{first}": ']
+    pieces = ([f',\n{child_pad}{{\n{field_pad}"{first}": ']
               + [f',\n{field_pad}"{name}": ' for name in rest]
-              + [f"\n{child_pad}}},\n"])
-    rows = _table_text(table.columns.values(), pieces)
-    if not rows:
-        return ["[]"]
-    # the last row ends in "\n" + pad + "]" instead of ",\n"
-    return ["[\n", str(memoryview(rows)[:-2], "utf-8"), f"\n{pad}]"]
+              + [f"\n{child_pad}}}"])
+    parts = _table_parts(list(table.columns.values()), pieces)
+    head = next(parts)  # empty only for an empty table, which is written []
+    yield "[" + head[1:]  # the first row has no separator: "[\n" opens it
+    yield from parts
+    yield f"\n{pad}]" if head else "]"
 
 
 #: One level of JSON nesting.
 _INDENT = "  "
 
 
-def _emit(node, depth: int, parts: list[str]) -> None:
-    """Append the JSON text of node, nested depth levels deep, to parts."""
+def _emit(node, depth: int):
+    """The parts of node's JSON text, nested depth levels deep."""
     pad = _INDENT * depth
     child_pad = _INDENT * (depth + 1)
     if isinstance(node, Table):
-        parts.extend(_json_table(node, pad, child_pad, _INDENT * (depth + 2)))
+        yield from _json_table(node, pad, child_pad, _INDENT * (depth + 2))
     elif isinstance(node, (dict, list)):
         if isinstance(node, dict):
             brackets, items = "{}", [(f'"{key}": ', value) for key, value in node.items()]
         else:
             brackets, items = "[]", [("", value) for value in node]
         if not items:
-            parts.append(brackets)
+            yield brackets
             return
         for i, (prefix, value) in enumerate(items):
-            parts.append((",\n" if i else brackets[0] + "\n") + child_pad + prefix)
-            _emit(value, depth + 1, parts)
-        parts.append(f"\n{pad}{brackets[1]}")
+            yield (",\n" if i else brackets[0] + "\n") + child_pad + prefix
+            yield from _emit(value, depth + 1)
+        yield f"\n{pad}{brackets[1]}"
     else:
-        parts.append(_format_value(node))
+        yield _format_value(node)
+
+
+def _json_parts(obj):
+    """The parts of json_dumps(obj), in order."""
+    yield from _emit(obj, 0)
+    yield "\n"
 
 
 def json_dumps(obj) -> str:
     """Serialize nested dicts/lists/Tables/scalars with fixed float formatting."""
-    parts: list[str] = []
-    _emit(obj, 0, parts)
-    parts.append("\n")
-    return "".join(parts)
+    return "".join(_json_parts(obj))
+
+
+def _csv_parts(header: list[str], rows: list[list] | Table):
+    """The parts of csv_lines(header, rows), in order."""
+    yield ",".join(header) + "\n"
+    if isinstance(rows, Table):
+        yield from _table_parts([rows.columns[name] for name in header],
+                                ["", *[","] * (len(header) - 1), "\n"])
+    else:
+        yield from (",".join("" if v is None else v if isinstance(v, str) else _format_value(v)
+                             for v in row) + "\n" for row in rows)
 
 
 def csv_lines(header: list[str], rows: list[list] | Table) -> str:
@@ -213,11 +238,4 @@ def csv_lines(header: list[str], rows: list[list] | Table) -> str:
     None becomes an empty cell and strings are written as they are.  A Table
     as rows gives its columns in header order.
     """
-    parts = [",".join(header) + "\n"]
-    if isinstance(rows, Table):
-        parts.append(str(_table_text([rows.columns[name] for name in header],
-                                     ["", *[","] * (len(header) - 1), "\n"]), "utf-8"))
-    else:
-        parts.extend(",".join("" if v is None else v if isinstance(v, str) else _format_value(v)
-                              for v in row) + "\n" for row in rows)
-    return "".join(parts)
+    return "".join(_csv_parts(header, rows))

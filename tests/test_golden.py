@@ -17,11 +17,18 @@ work.json holds what each case and refusal costs, counted in this process:
 numpy.linalg.eigh calls, the rows of the matrices they solve and the sum of
 those row counts cubed (eigh's cost), the values that go through
 serialize.format_float, the closed-form evaluations (amplitudes._channel_values
-calls, as oracle and entangle bind it) and the points they cover, and the
-dressed-state matches (oracle._dressed calls). validate --rwa both evaluates
-its closed-form points once per Hamiltonian. A change that solves, evaluates,
-matches or formats more or less than before fails test_work_matches_golden
-even when its bytes stay.
+calls, as oracle and entangle bind it) and the points they cover, the
+dressed-state matches (oracle._dressed calls), and the stdout bytes. validate
+--rwa both evaluates its closed-form points once per Hamiltonian. A change
+that solves, evaluates, matches or formats more or less than before fails
+test_work_matches_golden even when its bytes stay.
+
+sweep writes its table in parts of serialize.TABLE_CHUNK_ROWS rows. The sweep
+goldens are produced again in this process at 1, 7, 4096 and 10**6 rows per
+part, and a 10 000-point sweep, which crosses two seams of the default 4096,
+at 7, 4096 and 10**6; the bytes may not change. Two cold sweeps check what
+writing in parts is for: the peak resident memory of a 100 000-point one, and
+the exit of a 20 000-point one whose reader closes the pipe early.
 
 The report and sweep files were captured before the oracle moved to the
 Dicke-basis block solve and must never change. The two skip-path sweeps (one
@@ -177,16 +184,18 @@ def _on_kernel(kernel: str | None, *values, id: str):
                         marks=pytest.mark.skipif(skip, reason=CORETYPE_IGNORED))
 
 
-def fresh_run(*args: str, kernel: str | None = None) -> subprocess.CompletedProcess:
-    """``python *args`` in a new interpreter at the repo root, its output captured as bytes.
-
-    PYTHONPATH is src, and OPENBLAS_CORETYPE is kernel, or unset for None.
-    """
+def fresh_env(kernel: str | None = None) -> dict[str, str]:
+    """This process's environment with PYTHONPATH src and OPENBLAS_CORETYPE kernel (None: unset)."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = "src"
     if kernel is not None:
         env["OPENBLAS_CORETYPE"] = kernel
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return env
+
+
+def fresh_run(*args: str, kernel: str | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter at the repo root, its output captured as bytes."""
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=fresh_env(kernel),
                           capture_output=True, timeout=120)
 
 
@@ -256,10 +265,87 @@ def test_work_matches_golden(monkeypatch):
     for name, argv in [*CASES.items(), *((name, argv) for name, (argv, _) in REFUSED.items())]:
         work.update(eigh_calls=0, eigh_rows=0, eigh_cubes=0, format_float_calls=0,
                     closed_form_calls=0, closed_form_rows=0, dressed_matches=0)
-        code, _, _ = run_cli(argv)
+        code, out, _ = run_cli(argv)
         assert code == (0 if name in CASES else 2), name
-        measured[name] = dict(work)
+        measured[name] = dict(work, stdout_bytes=len(out.encode()))
     assert measured == json.loads((GOLDEN / "work.json").read_text())
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096, 10 ** 6])
+def test_sweep_goldens_at_any_table_chunk_rows(monkeypatch, chunk_rows):
+    # a seam between parts after every row, every seventh, at the default size, and none
+    monkeypatch.setattr(serialize, "TABLE_CHUNK_ROWS", chunk_rows)
+    for name, argv in CASES.items():
+        if argv[0] == "sweep":
+            golden = (GOLDEN / name).read_text(encoding="utf-8")
+            assert run_cli(argv) == (0, golden, STDERR.get(name, "")), name
+
+
+#: SWEEP with 10 000 steps: two seams between parts of the default 4096 rows.
+SWEEP_10K = [*SWEEP[:-1], "10000"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_long_sweep_at_any_table_chunk_rows(monkeypatch, fmt):
+    # a seam after every row is left to the goldens above: here it takes about 12 s
+    outputs = []
+    for chunk_rows in (7, 4096, 10 ** 6):
+        monkeypatch.setattr(serialize, "TABLE_CHUNK_ROWS", chunk_rows)
+        outputs.append(run_cli([*SWEEP_10K, "--format", fmt]))
+    assert outputs[0][0] == 0
+    assert outputs.count(outputs[0]) == len(outputs)
+
+
+#: SWEEP's point over omega2 from 3 to 4.5 GHz, across E0, without --steps.
+SWEEP_WIDE = ["sweep", "--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-ghz", "0.2",
+              "--omega2-min-ghz", "3", "--omega2-max-ghz", "4.5"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_into_closed_pipe_exits_2(fmt):
+    # the reader goes away after 10 bytes: the next write fails, and the OSError
+    # handler reports it, where a sweep written whole used to exit 0
+    # 20 000 points are several parts, each larger than a pipe's buffer
+    argv = [*SWEEP_WIDE, "--steps", "20000", "--format", fmt]
+    with subprocess.Popen([sys.executable, "-m", "dle3q.cli", *argv],
+                          cwd=ROOT, env=fresh_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        try:
+            head = child.stdout.read(10)
+            child.stdout.close()
+            _, err = child.communicate(timeout=120)
+        finally:
+            child.kill()
+    assert len(head) == 10
+    assert (child.returncode, err.decode()) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+#: Prints the exit code and VmHWM (kB) of a sweep on sys.argv[1:], stdout to the null device.
+PEAK = """\
+import os, sys
+from dle3q.cli import main
+with open(os.devnull, "w") as sink:
+    sys.stdout = sink
+    code = main(sys.argv[1:])
+    sys.stdout = sys.__stdout__
+status = open("/proc/self/status").read()
+print(code, status.split("VmHWM:")[1].split()[0])
+"""
+
+
+def test_sweep_peak_memory_bounded():
+    # a table written in parts is never held whole: a cold 100 000-point JSON sweep
+    # peaked at 116 MB when it was, and at about 52 MB in parts
+    try:
+        with open("/proc/self/status") as status:
+            if "VmHWM:" not in status.read():
+                pytest.skip("/proc/self/status has no VmHWM")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    result = fresh_run("-c", PEAK, *SWEEP_WIDE, "--steps", "100000")
+    code, peak_kb = result.stdout.decode().split()
+    assert code == "0"
+    assert int(peak_kb) < 80_000
 
 
 @pytest.mark.parametrize("kernel", [_on_kernel(kernel, id=kernel) for kernel in KERNELS[1:]])

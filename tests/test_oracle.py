@@ -556,6 +556,12 @@ class TestSuddenOverlap:
             with pytest.raises(ParameterDomainError, match="need at least two rows"):
                 shrink_factors(rows_of_channel, channel)
 
+    @pytest.mark.parametrize("channel", [(1,), (1, 1, 1), 1, None])
+    def test_shrink_factors_refuse_a_channel_that_is_not_a_pair(self, channel):
+        rows = [{"channel_n": 1, "channel_m": 1, "rel_dev": dev} for dev in (1e-2, 1e-3)]
+        with pytest.raises(ParameterDomainError, match="a channel is a pair"):
+            shrink_factors(rows, channel)
+
     def test_v_only_pair_channels_exactly_zero(self):
         # H0 + V conserves n - m: the (2,0) and (0,2) targets share no block,
         # hence no basis state, with the dressed ground state

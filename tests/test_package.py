@@ -15,7 +15,6 @@ from test_cli import AMPLITUDES_NOT_FINITE
 from test_golden import CASES, GOLDEN, UNDERFLOW, fresh_run
 
 import dle3q
-from dle3q import cli
 
 #: Modules whose public API the package re-exports; cli and serialize are front ends, and
 #: amplitudes holds only the private channel formulas and their constants.
@@ -109,21 +108,6 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     for key, (value, digits, exponent) in quoted.items():
         shown = f"{summary[key]:.{digits}e}" if exponent else f"{summary[key]:.{digits}f}"
         assert float(shown) == float(value), (key, summary[key], value)
-
-
-#: A memory figure, "47.8 MB", or the first of a pair, "40.4" in "40.4 and 80.2 MB".
-MEMORY_FIGURE = re.compile(r"\d+(?:\.\d+)?(?=(?: and \d+(?:\.\d+)?)? [KMG]B\b)")
-
-
-def test_readme_quotes_the_sweep_memory_figures():
-    # the comment above cli.MAX_SWEEP_STEPS is the one record of the measured figures
-    source = Path(cli.__file__).read_text(encoding="utf-8")
-    comment = re.search(r"((?:#:.*\n)+)MAX_SWEEP_STEPS =", source)[1].replace("#:", "")
-    measured = MEMORY_FIGURE.findall(" ".join(comment.split()))
-    assert len(measured) == 6, measured
-    paragraph = next(chunk for chunk in README.read_text(encoding="utf-8").split("\n\n")
-                     if "MAX_SWEEP_STEPS" in chunk)
-    assert MEMORY_FIGURE.findall(" ".join(paragraph.split())) == measured
 
 
 PYPROJECT = README.parent / "pyproject.toml"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dle3q import serialize
 from dle3q.serialize import Table, csv_lines, format_float, json_dumps
 
 
@@ -153,6 +154,20 @@ def test_table_at_depth_2():
         '    ]\n'
         '  }\n'
         '}\n')
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096, 10 ** 6])
+def test_table_in_parts_equals_row_dicts(monkeypatch, chunk_rows):
+    # no seam, one, several, and one after every row, with values for format_float too
+    monkeypatch.setattr(serialize, "TABLE_CHUNK_ROWS", chunk_rows)
+    values = np.array([1.5, -0.0, 5e-324, -2.5e-7, 1.7976931348623157e308])
+    for nrows in (0, 1, 6, 7, 8, 15):
+        table = Table({"x": np.resize(values, nrows), "ok": np.arange(nrows) % 3 == 0})
+        rows = [dict(zip(table.columns, row))
+                for row in zip(*(v.tolist() for v in table.columns.values()))]
+        assert json_dumps(nest(table, 2)) == json_dumps(nest(rows, 2)), nrows
+        assert csv_lines(["ok", "x"], table) == csv_lines(
+            ["ok", "x"], [[r["ok"], r["x"]] for r in rows]), nrows
 
 
 def test_format_float_refuses_non_finite():
