@@ -30,8 +30,11 @@ if TYPE_CHECKING:
 #: Sweep rows closer to E0 than this relative band are skipped, not errored.
 SWEEP_GUARD_BAND = 1e-6
 
-#: Most grid points one sweep evaluates: a cap on its run time. Its text is written in
-#: parts, so its memory grows only with the evaluated columns.
+#: Most grid points one sweep evaluates: a cap on its run time. A cold sweep at the cap
+#: took 1.4 s in JSON and 1.5 s in CSV (median of 3 processes, stdout to /dev/null, no
+#: bytecode cache; measured at b966e1f on 2 x86-64 cores, Python 3.11, numpy 2.4, at omega1
+#: 5, E0 3.721, lambda 0.2, omega2 3 to 4.5 GHz). Its text is written in parts, so its
+#: memory grows only with the evaluated columns.
 MAX_SWEEP_STEPS = 10 ** 6
 
 def _flag(key: str) -> str:

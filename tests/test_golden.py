@@ -25,10 +25,10 @@ test_work_matches_golden even when its bytes stay.
 
 sweep writes its table in parts of serialize.TABLE_CHUNK_ROWS rows. The sweep
 goldens are produced again in this process at 1, 7, 4096 and 10**6 rows per
-part, and a 10 000-point sweep, which crosses two seams of the default 4096,
-at 7, 4096 and 10**6; the bytes may not change. Two cold sweeps check what
-writing in parts is for: the peak resident memory of a 100 000-point one, and
-the exit of a 20 000-point one whose reader closes the pipe early.
+part, and so is a 10 000-point sweep, which crosses two seams of the default
+4096; the bytes may not change. Two cold sweeps check what writing in parts
+is for: the peak resident memory of a 100 000-point one, and the exit of a
+20 000-point one whose reader closes the pipe early.
 
 The report and sweep files were captured before the oracle moved to the
 Dicke-basis block solve and must never change. The two skip-path sweeps (one
@@ -185,7 +185,10 @@ def _on_kernel(kernel: str | None, *values, id: str):
 
 
 def fresh_env(kernel: str | None = None) -> dict[str, str]:
-    """This process's environment with PYTHONPATH src and OPENBLAS_CORETYPE kernel (None: unset)."""
+    """This process's environment with PYTHONPATH src and OPENBLAS_CORETYPE kernel.
+
+    None leaves OPENBLAS_CORETYPE unset.
+    """
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = "src"
     if kernel is not None:
@@ -287,9 +290,9 @@ SWEEP_10K = [*SWEEP[:-1], "10000"]
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_long_sweep_at_any_table_chunk_rows(monkeypatch, fmt):
-    # a seam after every row is left to the goldens above: here it takes about 12 s
+    # one row per part is the slow case: about 8 s per format on 2 x86-64 cores
     outputs = []
-    for chunk_rows in (7, 4096, 10 ** 6):
+    for chunk_rows in (1, 7, 4096, 10 ** 6):
         monkeypatch.setattr(serialize, "TABLE_CHUNK_ROWS", chunk_rows)
         outputs.append(run_cli([*SWEEP_10K, "--format", fmt]))
     assert outputs[0][0] == 0
@@ -303,9 +306,9 @@ SWEEP_WIDE = ["sweep", "--omega1-ghz", "5", "--e0-ghz", "3.721", "--lambda-ghz",
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_sweep_into_closed_pipe_exits_2(fmt):
-    # the reader goes away after 10 bytes: the next write fails, and the OSError
-    # handler reports it, where a sweep written whole used to exit 0
-    # 20 000 points are several parts, each larger than a pipe's buffer
+    # the reader goes away after 10 bytes, so a later part's write fails and the
+    # OSError handler reports it; the 20 000 points are several parts, each larger
+    # than a pipe's buffer
     argv = [*SWEEP_WIDE, "--steps", "20000", "--format", fmt]
     with subprocess.Popen([sys.executable, "-m", "dle3q.cli", *argv],
                           cwd=ROOT, env=fresh_env(), stdout=subprocess.PIPE,
@@ -328,14 +331,15 @@ with open(os.devnull, "w") as sink:
     sys.stdout = sink
     code = main(sys.argv[1:])
     sys.stdout = sys.__stdout__
-status = open("/proc/self/status").read()
-print(code, status.split("VmHWM:")[1].split()[0])
+with open("/proc/self/status") as status:
+    print(code, status.read().split("VmHWM:")[1].split()[0])
 """
 
 
 def test_sweep_peak_memory_bounded():
     # a table written in parts is never held whole: a cold 100 000-point JSON sweep
-    # peaked at 116 MB when it was, and at about 52 MB in parts
+    # peaked at 116 MB when it was, and at 52 MB in parts (Python 3.11, numpy 2.4,
+    # x86-64 Linux)
     try:
         with open("/proc/self/status") as status:
             if "VmHWM:" not in status.read():
