@@ -11,22 +11,23 @@ table's text is never held whole.
 A ``Table`` of equal-length numpy columns (float or bool) is emitted without
 building a Python object per row or per value. ``json_dumps`` accepts it
 anywhere in a document and writes it as the list of row objects the generic
-emitter would write at that depth; ``csv_lines`` accepts it as its rows. A
-table is formatted ``TABLE_CHUNK_ROWS`` rows at a time, each chunk as one
-``uint8`` matrix with one row per table row: the literal pieces between
-values (the JSON row separator and field prefixes, the CSV commas and
-newline) fill fixed columns, and each value fills a fixed-width slot of
-ASCII codes. The matrix is a view of one ``bytearray``; unused slot bytes
-are NUL, and one ``bytearray.replace`` on it drops them, which leaves the
-UTF-8 text of one part to decode.
-``_float_codes`` fills the float slots as a vectorized ``%.9e``; the few
-values it cannot round with certainty go through ``format_float``, so the
-bytes are those of the per-value emitter that ``report`` and ``validate``
-use. Those are the near-ties, subnormals and extremes, and also the rows
-whose exponent estimate misses or whose rounding carries into an eleventh
-digit. The checks ``format_float`` makes per value are made per column
-chunk: ``np.isfinite`` must hold over every float column (the same
-``ValueError`` otherwise), and -0.0 prints as 0.0.
+emitter would write at that depth; ``csv_lines`` accepts it as its rows.
+The finiteness check ``format_float`` makes per value is made once per
+table, before its first row: ``np.isfinite`` must hold over every float
+column (the same ``ValueError`` otherwise, naming the first non-finite value
+in column order, then row order). The table is then formatted
+``TABLE_CHUNK_ROWS`` rows at a time, each part as one ``uint8`` matrix with
+one row per table row: the literal pieces between values (the JSON row
+separator and field prefixes, the CSV commas and newline) fill fixed
+columns, and each value fills a fixed-width slot of ASCII codes. The matrix
+is a view of one ``bytearray``; unused slot bytes are NUL, and one
+``bytearray.replace`` on it drops them, which leaves the UTF-8 text of one
+part to decode. One ``_float_codes`` call per part fills its float slots as
+a vectorized ``%.9e``, with -0.0 as 0.0. The few values it cannot round
+with certainty (the near-ties, subnormals and extremes, and the rows whose
+exponent estimate misses or whose rounding carries into an eleventh digit)
+go through ``format_float``, so the bytes are those of the per-value
+emitter that ``report`` and ``validate`` use.
 """
 from __future__ import annotations
 
@@ -126,48 +127,47 @@ def _float_codes(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_codes(values: np.ndarray) -> np.ndarray:
-    """The (rows, slot width) ASCII codes of one table column, checked."""
-    if values.dtype.kind == "b":
-        return np.frombuffer(b"false\0true", dtype=np.uint8).reshape(2, 5)[values.astype(np.intp)]
-    if values.dtype.kind == "f":
-        values = values.astype(np.float64, copy=False)
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = float(values[~finite][0])
-            raise ValueError(f"refusing to serialize non-finite value {bad!r}")
-        return _float_codes(values)
-    raise TypeError(f"unsupported column dtype {values.dtype}")
-
-
 #: Rows of a Table formatted into one part of its text.
 TABLE_CHUNK_ROWS = 4096
+
+#: The codes of a bool slot: row 0 for false, row 1 for true.
+_BOOL_CODES = np.frombuffer(b"false\0true", dtype=np.uint8).reshape(2, 5)
 
 
 def _table_parts(columns, pieces: list[str]):
     """Every row as pieces[0], cell 0, pieces[1], ..., cell k-1, pieces[k], in parts.
 
-    Each part holds the text of TABLE_CHUNK_ROWS rows, fewer in the last. Its
-    rows are one uint8 matrix over a bytearray: every row starts as a copy of
-    one template row that holds the pieces and a NUL slot per cell, and each
-    column's codes then fill its slots. Dropping every NUL from the bytearray
-    leaves the text.
+    The columns are checked and the template row (the pieces, with a NUL slot
+    per cell) laid out before the first part. A part holds TABLE_CHUNK_ROWS
+    rows, fewer in the last; an empty table has none.
     """
     if any("\0" in piece for piece in pieces):
         raise ValueError("table column names must not contain NUL")
-    # an empty table still has its column types checked, as one empty part
-    for start in range(0, len(columns[0]) or 1, TABLE_CHUNK_ROWS):
-        cells = [_cell_codes(np.asarray(values)[start:start + TABLE_CHUNK_ROWS])
-                 for values in columns]
-        template, slots = bytearray(pieces[0].encode()), []
-        for cell, piece in zip(cells, pieces[1:]):
-            slots.append(slice(len(template), len(template) + cell.shape[1]))
-            template += bytes(cell.shape[1]) + piece.encode()
-        text = bytearray(len(cells[0]) * len(template))
-        matrix = np.frombuffer(text, dtype=np.uint8).reshape(len(cells[0]), len(template))
+    template, floats, bools = bytearray(pieces[0].encode()), [], []
+    for values, piece in zip(columns, pieces[1:]):
+        values = np.asarray(values)
+        if values.dtype.kind == "f":
+            values = values.astype(np.float64, copy=False)
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValueError(f"refusing to serialize non-finite value {float(bad[0])!r}")
+            cells, width = floats, _FLOAT_WIDTH
+        elif values.dtype.kind == "b":
+            cells, width = bools, _BOOL_CODES.shape[1]
+        else:
+            raise TypeError(f"unsupported column dtype {values.dtype}")
+        cells.append((values, slice(len(template), len(template) + width)))
+        template += bytes(width) + piece.encode()
+    for start in range(0, len(columns[0]), TABLE_CHUNK_ROWS):
+        rows = min(TABLE_CHUNK_ROWS, len(columns[0]) - start)
+        text = bytearray(rows * len(template))
+        matrix = np.frombuffer(text, dtype=np.uint8).reshape(rows, len(template))
         matrix[:] = np.frombuffer(template, dtype=np.uint8)
-        for cell, slot in zip(cells, slots):
+        codes = _float_codes(np.ravel([values[start:start + rows] for values, _ in floats]))
+        for (_, slot), cell in zip(floats, codes.reshape(len(floats), rows, _FLOAT_WIDTH)):
             matrix[:, slot] = cell
+        for values, slot in bools:
+            matrix[:, slot] = _BOOL_CODES[values[start:start + rows].astype(np.intp)]
         yield text.replace(b"\0", b"").decode()
 
 
@@ -178,7 +178,7 @@ def _json_table(table: Table, pad: str, child_pad: str, field_pad: str):
               + [f',\n{field_pad}"{name}": ' for name in rest]
               + [f"\n{child_pad}}}"])
     parts = _table_parts(list(table.columns.values()), pieces)
-    head = next(parts)  # empty only for an empty table, which is written []
+    head = next(parts, "")  # an empty table has no parts and is written []
     yield "[" + head[1:]  # the first row has no separator: "[\n" opens it
     yield from parts
     yield f"\n{pad}]" if head else "]"

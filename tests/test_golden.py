@@ -290,7 +290,7 @@ SWEEP_10K = [*SWEEP[:-1], "10000"]
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_long_sweep_at_any_table_chunk_rows(monkeypatch, fmt):
-    # one row per part is the slow case: about 8 s per format on 2 x86-64 cores
+    # one row per part is the slow case: about 1.6 s per format on 2 x86-64 cores
     outputs = []
     for chunk_rows in (1, 7, 4096, 10 ** 6):
         monkeypatch.setattr(serialize, "TABLE_CHUNK_ROWS", chunk_rows)

@@ -170,6 +170,35 @@ def test_table_in_parts_equals_row_dicts(monkeypatch, chunk_rows):
             ["ok", "x"], [[r["ok"], r["x"]] for r in rows]), nrows
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+def test_one_float_codes_call_per_part(monkeypatch, chunk_rows):
+    # a part's float columns are formatted together, however many there are
+    monkeypatch.setattr(serialize, "TABLE_CHUNK_ROWS", chunk_rows)
+    calls, float_codes = [], serialize._float_codes
+    monkeypatch.setattr(serialize, "_float_codes",
+                        lambda x: calls.append(x.size) or float_codes(x))
+    for nrows in (0, 1, 15, 4097):
+        columns = {f"x{j}": np.linspace(-1.0, 1.0, nrows) + j for j in range(3)}
+        table = Table({**columns, "ok": np.arange(nrows) % 2 == 0})
+        calls.clear()
+        csv_lines(list(table.columns), table)
+        assert len(calls) == math.ceil(nrows / chunk_rows), nrows
+        assert sum(calls) == 3 * nrows, nrows
+
+
+def test_refused_table_yields_no_row(monkeypatch):
+    # the whole table is checked before its first row, so the value named is the
+    # first non-finite one in column order, not the first met in row order
+    monkeypatch.setattr(serialize, "TABLE_CHUNK_ROWS", 1)
+    table = Table({"a": np.array([1.0, 2.0, -math.inf]), "b": np.array([1.0, math.nan, 3.0])})
+    parts = []
+    with pytest.raises(ValueError, match="refusing to serialize non-finite value") as refusal:
+        for part in serialize._csv_parts(["a", "b"], table):
+            parts.append(part)
+    assert parts == ["a,b\n"]
+    assert str(refusal.value) == "refusing to serialize non-finite value -inf"
+
+
 def test_format_float_refuses_non_finite():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="refusing to serialize non-finite value"):
