@@ -104,16 +104,12 @@ def _headline(cf: ClosedForms) -> dict:
 def _point_forms(p: SystemParams) -> tuple[ClosedForms, SectorMeasures]:
     """The closed forms at p, as Python values, and the measures of its normalized sectors.
 
-    A product of detunings that underflows to 0 divides by zero on Python
-    floats, where arrays would hold inf or nan in that amplitude, so the
-    point is refused as report refuses a non-finite amplitude.
+    Nothing here raises on a value outside the double range: it holds inf
+    or nan, as an array would, and _report_doc refuses it.
     """
     from .entangle import _measures, _normalized, entanglement_report
 
-    try:
-        cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
-    except ZeroDivisionError:
-        raise _not_finite("amplitudes") from None
+    cf = entanglement_report(p.omega1, p.omega2, p.e0, p.lambda_)
     return cf, _measures(map(_normalized, cf.amplitudes))
 
 

@@ -181,8 +181,8 @@ def entanglement_report(omega1, omega2, e0, lam) -> ClosedForms:
     The four frequencies are Python floats for one point, or numpy arrays
     (and floats) that broadcast together.  Nothing is guarded or masked
     here: callers exclude omega2 = E0 and check that the values they print
-    are finite.  On Python floats a product of detunings that underflows
-    to 0 raises ZeroDivisionError, where arrays hold inf or nan.
+    are finite.  Nothing raises on a value outside the double range: on
+    Python floats as on arrays it is inf or nan.
     """
     values = dict(zip(DLE_CHANNELS, _channel_values(omega1, omega2, e0, lam)))
     amplitudes = [[values.get((n, m), 0.0) for m in range(4)] for n in range(3)]

@@ -92,7 +92,7 @@ lambda -> 0, and it is the gated channel.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -335,9 +335,13 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     range is not finite) that keeps lambda * scale finite and > 0; otherwise
     ParameterDomainError, which names the scales that break the last rule.
     Since SystemParams keeps lambda > 0, that rule is also what refuses a
-    scale <= 0.  Rows hold each scale as the float it means.  The first row
-    whose closed form or rel_dev is not finite raises ParameterDomainError
-    once its states are solved, so the table holds no inf or nan.
+    scale <= 0.  Rows hold each scale as the float it means.  The table
+    holds no inf or nan: each scale's four closed forms are evaluated on
+    Python floats and checked finite before its first solve, and a rel_dev
+    that is not finite is refused once its states are solved, each with
+    ParameterDomainError.  Each closed form is a product of coupling ratios
+    that grow with lambda, so one that overflows does so at the first,
+    largest scale, and its refusal comes before any eigensolve.
     """
     if len(lambda_scales) < 2:
         raise ParameterDomainError("need at least two lambda scales")
@@ -358,20 +362,22 @@ def compare_with_closed_forms(p: SystemParams, lambda_scales: list[float],
     rows = []
     for scale in lambda_scales:
         p_s = SystemParams(p.omega1, p.omega2, p.e0, p.lambda_ * scale, nmax=p.nmax)
+        where = f"(include_rwa={include_rwa}) at lambda scale {scale}"
+        closed_forms = _channel_values(p_s.omega1, p_s.omega2, p_s.e0, p_s.lambda_)
+        for (n, m), closed in zip(DLE_CHANNELS, closed_forms):
+            if not math.isfinite(closed):
+                raise _not_finite(f"closed_form of channel ({n}, {m}) {where}")
         rungs = {}  # one store per scale: a larger one would keep every scale's rungs alive
         ground = _dressed(0, 0, p_s, p_s.omega1, include_rwa, rungs)
         guard_detuning(p_s.omega2, p_s.e0)
-        with np.errstate(all="ignore"):  # numpy scalars: a zero divisor gives inf or nan
-            closed_forms = list(map(float, _channel_values(*np.array(astuple(p_s)[:4]))))
         for (n, m), closed in zip(DLE_CHANNELS, closed_forms):
             orac = _overlap(ground, _dressed(n, m, p_s, p_s.omega2, include_rwa, rungs), m)
-            # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1)
+            # undefined when the closed form vanishes (e.g. (1,1) at w2 = w1); an oracle
+            # overlap is a dot product of two checked unit eigenvectors, but a finite
+            # closed form may be small enough that the quotient overflows
             rel = abs(orac - closed) / abs(closed) if closed != 0.0 else None
-            # an oracle overlap is a dot product of two checked unit eigenvectors
-            for key, value in (("closed_form", closed), ("rel_dev", rel)):
-                if value is not None and not math.isfinite(value):
-                    raise _not_finite(f"{key} of channel ({n}, {m}) (include_rwa={include_rwa}) "
-                                      f"at lambda scale {scale}")
+            if rel is not None and not math.isfinite(rel):
+                raise _not_finite(f"rel_dev of channel ({n}, {m}) {where}")
             rows.append({
                 "channel_n": n, "channel_m": m,
                 "closed_form": closed, "oracle": orac, "rel_dev": rel,

@@ -19,7 +19,8 @@ GUARD_BAND = ["--omega1-ghz", "5", "--omega2-ghz", "3.721000000001", "--e0-ghz",
               "--lambda-ghz", "0.02"]
 
 
-#: report's one stderr line where products of two detunings underflow to 0.
+#: report's one stderr line where an amplitude overflows: a product of coupling ratios
+#: lambda/(omega +- E0) leaves the double range.
 AMPLITUDES_NOT_FINITE = ("error: amplitudes is not finite at these parameters "
                          "(outside double-precision range)\n")
 
@@ -419,7 +420,7 @@ class TestFiniteInputs:
         (["validate", *POINT, "--omega2-ghz", "4.5", "--lambda-ghz", "1e300"], 2),
         (["validate", "--omega1-ghz", "1e300", "--omega2-ghz", "4.5", "--e0-ghz", "3.721",
           "--lambda-ghz", "0.02"], 2),
-        # products of two detunings underflow to 0 and divide by zero
+        # the coupling ratios are near 1e199, so their products overflow to inf
         *[([*argv, "--omega1-ghz", "1e-200", "--e0-ghz", "1.5e-200", "--lambda-ghz", "0.2",
             "--format", fmt], 2)
           for argv in (["report", "--omega2-ghz", "2e-200"],
@@ -446,9 +447,10 @@ class TestFiniteInputs:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_validate_non_finite_closed_form_exits_2(self, capsys, fmt):
-        # lambda^2 and the detuning products underflow: A(2;0), A(0;2), A(2;2) are 0/0
-        argv = ["validate", "--omega1-ghz", "5e-170", "--omega2-ghz", "4.5e-170",
-                "--e0-ghz", "3.721e-170", "--lambda-ghz", "2e-172", "--format", fmt]
+        # report's refusal point: the coupling ratios are near 1e199, so g1 h2 overflows
+        # and A(2;0) is refused at the first scale, before any solve
+        argv = ["validate", "--omega1-ghz", "1e-200", "--omega2-ghz", "2e-200",
+                "--e0-ghz", "1.5e-200", "--lambda-ghz", "0.2", "--format", fmt]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, argv)

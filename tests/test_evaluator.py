@@ -304,7 +304,7 @@ def one_point(value):
 
 def array_point_forms(p):
     """cli._point_forms evaluated by entanglement_report on one-element arrays."""
-    # a zero divisor or an overflow surfaces as inf or nan, which _report_doc refuses
+    # an overflow surfaces as inf or nan, as on Python floats, and _report_doc refuses it
     with np.errstate(all="ignore"):
         cf = entanglement_report(*(np.array([v]) for v in (p.omega1, p.omega2, p.e0, p.lambda_)))
         normalized = _measures(map(normalized_sector, cf.amplitudes))
@@ -320,7 +320,7 @@ def report_doc(p, forms):
             return type(exc), str(exc)
 
 
-#: Frequency scales from the top of double range to where products of detunings underflow.
+#: Frequency scales from the top of double range to where products of coupling ratios overflow.
 scales = st.integers(min_value=-175, max_value=150).map(lambda k: 10.0 ** k)
 
 
@@ -328,7 +328,7 @@ scales = st.integers(min_value=-175, max_value=150).map(lambda k: 10.0 ** k)
 @given(omega1=frequencies, omega2=frequencies, e0=frequencies, scale=scales,
        lam=st.one_of(couplings, st.floats(min_value=5e-324, max_value=2.2e-308),
                      st.floats(min_value=1e-200, max_value=1e200)))
-@example(omega1=1.0, omega2=2.0, e0=1.5, scale=1e-200, lam=0.2)  # float division by zero
+@example(omega1=1.0, omega2=2.0, e0=1.5, scale=1e-200, lam=0.2)  # ratio products overflow
 @example(omega1=5.0, omega2=3.75, e0=3.721, scale=1e150, lam=1e-323)
 @example(omega1=5.0, omega2=3.75, e0=3.721, scale=1e-150, lam=1e-140)
 @example(omega1=5.0, omega2=3.75, e0=3.721, scale=1.0, lam=1e100)  # squares overflow

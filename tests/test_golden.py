@@ -9,9 +9,10 @@ where OPENBLAS_CORETYPE can be seen to choose the kernel, under two older
 ones (KERNELS). The report cases run under the build's kernel only, because
 tests/test_package.py::test_report_calls_no_numpy shows that their
 processes call no numpy function, so no kernel can change their bytes.
-The mixed-state tests run again under the two older kernels. The refused
-cases (REFUSED) are underflow points that exit 2 with no stdout; the validate
-ones run under all three kernels, since validate solves before it refuses.
+The mixed-state tests and the work counts run again under the two older
+kernels. The refused cases (REFUSED) are one point outside the double range,
+given to report and to validate, that exits 2 with no stdout; the validate
+ones run under all three kernels, as every validate case does.
 
 work.json holds what each case and refusal costs, counted in this process:
 numpy.linalg.eigh calls, the rows of the matrices they solve and the sum of
@@ -119,14 +120,14 @@ STDERR = {
         "skipped: 1\ntau_2_monotone_below_e0: False\ntau_2_monotone_above_e0: False\n",
 }
 
-#: A report point whose products of two detunings underflow to 0 and divide by zero.
+#: A report point at frequencies near 1e-200 GHz and lambda 0.2: the coupling ratios are
+#: near 1e199, so their products overflow and A(2;0), A(0;2) and A(2;2) are inf.
 UNDERFLOW = ["report", "--omega1-ghz", "1e-200", "--omega2-ghz", "2e-200",
              "--e0-ghz", "1.5e-200", "--lambda-ghz", "0.2"]
 
-#: A validate point whose lambda^2 and detuning products underflow: A(2;0), A(0;2)
-#: and A(2;2) are 0/0, refused after the ground and (2, 0) solves of the first scale.
-VALIDATE_UNDERFLOW = ["validate", "--omega1-ghz", "5e-170", "--omega2-ghz", "4.5e-170",
-                      "--e0-ghz", "3.721e-170", "--lambda-ghz", "2e-172"]
+#: The same point given to validate: A(2;0) is refused at the first lambda scale,
+#: before any solve.
+VALIDATE_UNDERFLOW = ["validate", *UNDERFLOW[1:]]
 
 CLOSED_FORM_NOT_FINITE = ("error: closed_form of channel (2, 0) (include_rwa=False) at "
                           "lambda scale 1.0 is not finite at these parameters "
@@ -158,6 +159,10 @@ MIXED_STATE = ("tests/test_entangle.py::TestMonogamy",
                "tests/test_entangle.py::TestMixedConcurrence",
                "tests/test_acceptance.py::test_criterion_7_monogamy_property_suite",
                "tests/test_acceptance.py::test_criterion_7_residuals_at_rounding")
+
+#: What runs again under each older kernel: the mixed-state tests, and the work counts,
+#: which no kernel may change.
+OLDER_KERNEL_RERUNS = (*MIXED_STATE, "tests/test_golden.py::test_work_matches_golden")
 
 
 def _coretype_ignored() -> str:
@@ -355,7 +360,7 @@ def test_sweep_peak_memory_bounded():
 @pytest.mark.parametrize("kernel", [_on_kernel(kernel, id=kernel) for kernel in KERNELS[1:]])
 def test_mixed_state_tests_pass_under_older_kernel(kernel):
     # a renamed or missing node id exits 4 or 5, which fails as well
-    result = fresh_run("-m", "pytest", "-q", *MIXED_STATE, kernel=kernel)
+    result = fresh_run("-m", "pytest", "-q", *OLDER_KERNEL_RERUNS, kernel=kernel)
     if result.returncode:
         pytest.fail(f"exit {result.returncode} under OPENBLAS_CORETYPE={kernel}:\n"
                     f"{result.stdout.decode()}{result.stderr.decode()}", pytrace=False)

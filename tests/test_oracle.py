@@ -670,15 +670,16 @@ class TestCompareTable:
         assert str(refused.value) == (
             f"lambda scales must keep lambda * scale finite and > 0, got {bad}")
 
-    def test_non_finite_closed_form_refused_as_validate_refuses(self):
-        # test_golden's VALIDATE_UNDERFLOW point: lambda^2 and the detuning products
-        # underflow, so A(2;0), A(0;2), A(2;2) are 0/0; validate prints this refusal
-        p = SystemParams(5e-170, 4.5e-170, 3.721e-170, 2e-172)
+    def test_non_finite_closed_form_refused_as_validate_refuses(self, solved_rungs):
+        # test_golden's VALIDATE_UNDERFLOW point: the coupling ratios are near 1e199, so
+        # g1 h2 overflows and A(2;0) is inf; validate prints this refusal before any solve
+        p = SystemParams(1e-200, 2e-200, 1.5e-200, 0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterDomainError) as refused:
                 compare_with_closed_forms(p, [1.0, 0.5, 0.25])
         assert f"error: {refused.value}\n" == CLOSED_FORM_NOT_FINITE
+        assert solved_rungs == []
 
     def test_one_solve_per_distinct_rung(self, solved_rungs):
         # per scale, H0+V solves the ground block at omega1 and the n - m = 2,
